@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """The offline-build / online-serve split: artifacts + batched serving.
 
-Offline, once: build a pipeline, sample a batched FRT ensemble — sharded
-across a small process pool via :class:`ExecutionConfig` — and persist
+Offline, once: build a pipeline, sample an FRT ensemble — split across
+two worker processes via :class:`ExecutionConfig` — and persist
 it as a provenance-stamped artifact file (``Pipeline.save_artifacts``).
 Online, many times: preload the artifact into a :class:`ForestServer`
 (memmapped — cold start never reads the stacked arrays), then answer
@@ -42,16 +42,14 @@ def main() -> None:
         path = Path(tmp) / "ensemble.rpz"
 
         # -- offline: one expensive build, one artifact file ------------------
-        # The sample axis shards across a process pool; execution knobs
-        # never change the persisted bits (or the fingerprint), so pick
+        # The samples split across two worker processes; the worker count
+        # never changes the persisted bits (or the fingerprint), so pick
         # whatever the build machine has — serving is unaffected.
         t0 = time.perf_counter()
-        meta = pipe.save_artifacts(
-            path, k, seed=1, execution=ExecutionConfig(mode="batched", workers=2)
-        )
+        meta = pipe.save_artifacts(path, k, seed=1, execution=ExecutionConfig(workers=2))
         build_s = time.perf_counter() - t0
         print(f"offline build: n={n}, k={k} ensemble "
-              f"(2-way sharded) in {build_s:.2f}s")
+              f"(2 workers) in {build_s:.2f}s")
         print(f"artifact: {path.stat().st_size / 2**20:.2f} MiB, "
               f"schema v{meta['schema_version']}, kind={meta['kind']!r}")
         print(f"fingerprint (configs+seeds hash): {meta['fingerprint'][:16]}…\n")

@@ -7,8 +7,8 @@ is the canonical way to drive it:
 - :class:`~repro.api.pipeline.Pipeline` — lazily builds and caches the
   expensive stage artifacts (hop set, oracle) and exposes ``sample()``,
   ``sample_ensemble(k)`` (amortized batch sampling with per-sample child
-  RNGs, optional process-pool parallelism, and a fused
-  ``mode="batched"`` multi-sample engine), ``solve_app()`` (the Section
+  RNGs into one stacked forest, optionally over a process pool),
+  ``solve_app()`` (the Section
   9-10 applications through the forest-backed batch path),
   ``distance_oracle()`` and ``embed_metric()``;
 - :mod:`~repro.api.configs` — frozen, validated stage configs
@@ -48,7 +48,6 @@ from importlib import import_module
 
 from repro.api.configs import (
     EMBEDDING_METHODS,
-    ENSEMBLE_MODES,
     HOPSET_KINDS,
     EmbeddingConfig,
     ExecutionConfig,
@@ -105,7 +104,6 @@ __all__ = [
     "ExecutionConfig",
     "HOPSET_KINDS",
     "EMBEDDING_METHODS",
-    "ENSEMBLE_MODES",
     "PipelineResult",
     "DistanceOracle",
     "SolveResult",

@@ -16,22 +16,21 @@ Randomness: the pipeline threads a single :class:`numpy.random.Generator`
 same order as the legacy free functions, so ``Pipeline(G, cfg, rng=s).sample()``
 is bit-identical to ``sample_frt_tree_via_oracle(G, ..., rng=s)``.  Batch
 sampling spawns one child generator per sample, so results do not depend on
-scheduling (serial vs process pool).
+scheduling (in-process or over a process pool).
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.configs import ENSEMBLE_MODES, ExecutionConfig, PipelineConfig
+from repro.api.configs import ExecutionConfig, PipelineConfig
 from repro.api.registry import get_backend, invoke_solve, resolve_engine
 from repro.api.result import DistanceOracle, PipelineResult, SolveResult
 from repro.frt.embedding import EmbeddingResult, _draw_randomness
-from repro.frt.forest import FRTForest, build_frt_forest
+from repro.frt.forest import build_frt_forest
 from repro.frt.lelists import (
     compute_le_lists_batch_via_oracle,
     compute_le_lists_via_oracle,
@@ -179,30 +178,24 @@ class Pipeline:
         ``rng`` defaults to the pipeline's own generator; explicit ``rank``
         / ``beta`` values are used verbatim and do *not* consume random
         state.  The first ``"oracle"``-method call builds (and caches) the
-        hop set and oracle.
+        hop set and oracle.  This per-tree path runs on every backend
+        (``"reference"`` included) and is the reference that each tree of
+        :meth:`sample_ensemble` equals bit for bit.
         """
         g = self._rng if rng is None else as_rng(rng)
-        method = self.config.embedding.method
         # Both branches start the clock only after their artifact/backend
         # resolution, so ``timings["samples"]`` measures exactly the
         # sampling work.
-        if method == "oracle":
-            oracle = self.oracle()
+        if self.config.embedding.method == "oracle":
+            oracle, backend = self.oracle(), None
             t0 = time.perf_counter()
             r, b = _draw_randomness(self.G.n, g, rank=rank, beta=beta)
             lists, iters = compute_le_lists_via_oracle(oracle, r, ledger=ledger)
-            extra_meta = {
-                "hop_d": oracle.d,
-                "Lambda": oracle.Lambda,
-                "penalty_base": oracle.penalty_base,
-                "eps": self.config.hopset.eps,
-            }
         else:
-            backend = get_backend(self.config.embedding.backend)
+            oracle, backend = None, get_backend(self.config.embedding.backend)
             t0 = time.perf_counter()
             r, b = _draw_randomness(self.G.n, g, rank=rank, beta=beta)
             lists, iters = backend.le_lists(self.G, r, ledger=ledger)
-            extra_meta = {"backend": backend.name}
         wmin, _ = self.G.weight_bounds()
         tree = build_frt_tree(lists, r, b, wmin)
         self.stats["samples"] += 1
@@ -215,7 +208,7 @@ class Pipeline:
             beta=b,
             le_lists=lists,
             iterations=iters,
-            meta={"pipeline": method, **extra_meta},
+            meta=self._sample_meta(oracle, backend),
         )
 
     def sample_ensemble(
@@ -223,17 +216,19 @@ class Pipeline:
         k: int,
         *,
         seed: int | None = None,
-        workers: int | None = None,
-        mode: str | None = None,
         execution: ExecutionConfig | None = None,
     ) -> PipelineResult:
-        """Sample ``k`` independent trees, amortizing one artifact build.
+        """Sample ``k`` independent trees into one stacked forest.
 
         The hop set / oracle are built (at most) once and shared by all
-        ``k`` samples; each sample draws from its own spawned child
-        generator (spawned *before* any fan-out), so the batch is
-        bit-reproducible under a fixed ``seed`` regardless of execution
-        mode, worker count, or shard boundaries.
+        ``k`` samples.  Each sample draws its ``(rank, beta)`` from its own
+        child generator (spawned *before* any fan-out) and runs the batched
+        LE-list driver on its own ``(1, n)`` rank matrix; the caller's
+        process stacks the per-sample lists and builds all ``k`` trees in
+        one :func:`~repro.frt.forest.build_frt_forest` call.  Every tree,
+        LE list, iteration count and ledger equals ``sample(rng=child)``,
+        so the batch is bit-reproducible under a fixed ``seed`` whatever
+        the worker count.
 
         Parameters
         ----------
@@ -244,21 +239,14 @@ class Pipeline:
             deterministic.  ``None`` continues the pipeline's own stream.
         execution:
             Per-call :class:`~repro.api.configs.ExecutionConfig` override;
-            ``None`` uses ``config.execution``.  ``mode="serial"`` with
-            ``workers > 1`` fans one sample per pool task; ``"batched"``
-            with ``workers > 1`` *shards* the sample axis — each worker
-            runs the fused engine on a contiguous slice and the shards are
-            concatenated (:meth:`~repro.mbf.dense.BatchedFlatStates.concat`
-            / :meth:`~repro.frt.forest.FRTForest.concat`) into the exact
-            single-process layout.  Third-party backends are shipped to
-            the workers by value, so their drivers must be picklable (a
-            module-level function, not a lambda) under spawn/forkserver
-            start methods.
-        workers, mode:
-            Deprecated loose spelling of the execution knobs; when given
-            they override the corresponding ``execution`` fields
-            (bit-identical mapping, ``workers=None``/``0``/``1`` = 1).
-            Prefer ``execution=ExecutionConfig(...)``.
+            ``None`` uses ``config.execution``.  ``workers > 1`` runs
+            contiguous slices of the samples in a process pool.  The
+            configured backend is shipped to the workers by value, so its
+            driver must be picklable (a module-level function, not a
+            lambda) under spawn/forkserver start methods.
+
+        Raises ``ValueError`` on a backend without a batched LE-list
+        driver (``"reference"``); :meth:`sample` runs on any backend.
         """
         if k < 1:
             raise ValueError("ensemble size k must be >= 1")
@@ -267,17 +255,16 @@ class Pipeline:
             raise TypeError(
                 f"execution must be an ExecutionConfig, got {type(exec_cfg)!r}"
             )
-        if mode is not None and mode not in ENSEMBLE_MODES:
-            raise ValueError(
-                f"mode must be one of {ENSEMBLE_MODES}, got {mode!r}"
-            )
-        exec_cfg = exec_cfg.with_overrides(mode=mode, workers=workers)
-        mode = (
-            exec_cfg.mode
-            if exec_cfg.mode is not None
-            else self.config.embedding.ensemble_mode
-        )
-        workers = exec_cfg.workers
+        oracle = backend = None
+        if self.config.embedding.method == "direct":
+            backend = get_backend(self.config.embedding.backend)
+            if backend.le_lists_batch is None:
+                raise ValueError(
+                    f"backend {backend.name!r} has no batched LE-list driver, "
+                    "so sample_ensemble cannot run on it; call "
+                    "Pipeline.sample() once per tree, or use a batch-capable "
+                    "backend (e.g. 'dense', 'dense-batched')"
+                )
         t_total = time.perf_counter()
         timings_before = dict(self.timings)
         if seed is not None:
@@ -299,46 +286,43 @@ class Pipeline:
         # Build shared artifacts up front so every sample (and worker) reuses
         # the same hop set / oracle instead of racing to build its own.
         if self.config.embedding.method == "oracle":
-            self.oracle()
-        pairs: list[tuple[EmbeddingResult, CostLedger]] = []
-        forest: FRTForest | None = None
-        if mode == "batched":
-            shards = _shard_bounds(k, workers, exec_cfg.shard_size)
-            if len(shards) > 1:
-                pairs, forest = self._sample_batch_sharded(
-                    children, workers, shards
-                )
-            else:
-                pairs, forest = self._sample_batch(children)
-        elif workers <= 1:
-            for child in children:
-                ledger = CostLedger()
-                emb = self.sample(rng=child, ledger=ledger)
-                pairs.append((emb, ledger))
+            oracle = self.oracle()
+        t0 = time.perf_counter()
+        size = -(-k // exec_cfg.workers)
+        parts = [children[lo : lo + size] for lo in range(0, k, size)]
+        if len(parts) == 1:  # one slice runs in-process: a pool would only add cost
+            slices = [_sample_slice(self.G, oracle, backend, children)]
         else:
-            # Ship the configured backend by value: under spawn/forkserver
-            # start methods the workers re-import the registry fresh, which
-            # only holds the built-ins.
-            backend = (
-                get_backend(self.config.embedding.backend)
-                if self.config.embedding.method == "direct"
-                else None
-            )
-            t0 = time.perf_counter()
-            # Shared artifacts travel once per worker via the initializer;
-            # per-task payloads carry only the child generator.
             with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_ensemble_worker,
-                initargs=(self.G, self.config, self._hopset, self._oracle, backend),
+                max_workers=len(parts),
+                initializer=_init_slice_worker,
+                initargs=(self.G, oracle, backend),
             ) as pool:
-                pairs = list(pool.map(_ensemble_worker, children))
-            self.stats["samples"] += k
-            self.timings["samples"] = self.timings.get("samples", 0.0) + (
-                time.perf_counter() - t0
+                slices = list(pool.map(_slice_worker, parts))
+        list_parts, iter_parts, ledger_parts, rank_parts, beta_parts = zip(*slices)
+        lists = BatchedFlatStates.concat(list_parts)
+        iterations = np.concatenate(iter_parts)
+        ranks = np.concatenate(rank_parts)
+        betas = np.concatenate(beta_parts)
+        ledgers = [led for part in ledger_parts for led in part]
+        wmin, _ = self.G.weight_bounds()
+        forest = build_frt_forest(lists, ranks, betas, wmin)
+        meta = self._sample_meta(oracle, backend)
+        embeddings = [
+            EmbeddingResult(
+                tree=forest.tree(s),
+                rank=ranks[s],
+                beta=float(betas[s]),
+                le_lists=lists.sample_states(s),
+                iterations=int(iterations[s]),
+                meta=dict(meta),
             )
-        embeddings = [emb for emb, _ in pairs]
-        ledgers = [led for _, led in pairs]
+            for s in range(k)
+        ]
+        self.stats["samples"] += k
+        self.timings["samples"] = self.timings.get("samples", 0.0) + (
+            time.perf_counter() - t0
+        )
         merged = CostLedger()
         merged.join(*ledgers, label="ensemble")
         # Per-batch stage timings: the delta over this call, not the
@@ -352,167 +336,23 @@ class Pipeline:
         return PipelineResult(
             embeddings=embeddings,
             ledger=merged,
+            forest=forest,
             ledgers=ledgers,
             timings=timings,
-            meta=self._provenance(
-                k=k,
-                seed=seed,
-                workers=workers,
-                mode=mode,
-                execution=exec_cfg.to_dict(),
-            ),
-            forest=forest,
+            meta=self._provenance(k=k, seed=seed, execution=exec_cfg.to_dict()),
         )
 
-    def _resolve_batch_backend(self):
-        """The batched engine inputs: ``(oracle, backend)`` (one is None).
-
-        Shared by the in-process and sharded batched paths so both fail
-        fast — in the parent process — on a backend without a batched
-        LE-list driver.
-        """
-        if self.config.embedding.method == "oracle":
-            return self.oracle(), None  # cached; built by the caller already
-        backend = get_backend(self.config.embedding.backend)
-        if backend.le_lists_batch is None:
-            raise ValueError(
-                f"backend {backend.name!r} has no batched LE-list driver; "
-                "use mode='serial' or a batch-capable backend "
-                "(e.g. 'dense', 'dense-batched')"
-            )
-        return None, backend
-
-    def _sample_batch_core(
-        self, children: list[np.random.Generator]
-    ) -> "_BatchCore":
-        """The fused engine pass: draws → batched LE lists → forest.
-
-        Draws each sample's ``(rank, beta)`` from its own child generator
-        (the same per-child order as the serial loop, so the randomness is
-        bit-identical), stacks the ranks into a ``(k, n)`` matrix, runs the
-        batched engine once, and constructs all ``k`` trees in one
-        vectorized :func:`~repro.frt.forest.build_frt_forest` pass — the
-        per-sample :class:`~repro.frt.tree.FRTTree` views are bit-identical
-        to serial ``build_frt_tree`` calls.  Returns the raw stacked
-        arrays (picklable — this is the payload the sharded path ships
-        back from its workers); ``elapsed`` excludes artifact/backend
-        resolution, matching the serial path's timing convention.
-        """
-        k = len(children)
-        method = self.config.embedding.method
-        oracle, backend = self._resolve_batch_backend()
-        t0 = time.perf_counter()
-        draws = [_draw_randomness(self.G.n, g) for g in children]
-        ranks = np.stack([r for r, _ in draws])
-        ledgers = [CostLedger() for _ in range(k)]
-        if method == "oracle":
-            lists, iters = compute_le_lists_batch_via_oracle(
-                oracle, ranks, ledgers=ledgers
-            )
-            extra_meta = {
-                "hop_d": oracle.d,
-                "Lambda": oracle.Lambda,
-                "penalty_base": oracle.penalty_base,
-                "eps": self.config.hopset.eps,
-            }
-        else:
-            lists, iters = backend.le_lists_batch(self.G, ranks, ledgers=ledgers)
-            extra_meta = {"backend": backend.name}
-        wmin, _ = self.G.weight_bounds()
-        betas = np.array([b for _, b in draws])
-        forest = build_frt_forest(lists, ranks, betas, wmin)
-        return _BatchCore(
-            lists=lists,
-            iterations=np.asarray(iters, dtype=np.int64),
-            ledgers=ledgers,
-            ranks=ranks,
-            betas=betas,
-            extra_meta=extra_meta,
-            forest=forest,
-            elapsed=time.perf_counter() - t0,
-        )
-
-    def _pairs_from_core(
-        self, core: "_BatchCore"
-    ) -> list[tuple[EmbeddingResult, CostLedger]]:
-        """Per-sample ``(embedding, ledger)`` views of one batched core."""
-        method = self.config.embedding.method
-        pairs: list[tuple[EmbeddingResult, CostLedger]] = []
-        for s, ledger in enumerate(core.ledgers):
-            emb = EmbeddingResult(
-                tree=core.forest.tree(s),
-                rank=core.ranks[s],
-                beta=float(core.betas[s]),
-                le_lists=core.lists.sample_states(s),
-                iterations=int(core.iterations[s]),
-                meta={"pipeline": method, **core.extra_meta},
-            )
-            pairs.append((emb, ledger))
-        return pairs
-
-    def _sample_batch(
-        self, children: list[np.random.Generator]
-    ) -> tuple[list[tuple[EmbeddingResult, CostLedger]], FRTForest]:
-        """One fused multi-sample pass for the whole ensemble, in-process."""
-        core = self._sample_batch_core(children)
-        t0 = time.perf_counter()
-        pairs = self._pairs_from_core(core)
-        self.stats["samples"] += len(children)
-        self.timings["samples"] = self.timings.get("samples", 0.0) + (
-            core.elapsed + time.perf_counter() - t0
-        )
-        return pairs, core.forest
-
-    def _sample_batch_sharded(
-        self,
-        children: list[np.random.Generator],
-        workers: int,
-        shards: list[tuple[int, int]],
-    ) -> tuple[list[tuple[EmbeddingResult, CostLedger]], FRTForest]:
-        """The batched pass, sharded over a process pool on the sample axis.
-
-        Each worker runs :meth:`_sample_batch_core` on a contiguous slice
-        of the (already spawned) child generators, so shard boundaries
-        cannot change any sample's RNG stream; the per-shard stacked
-        results are concatenated back into the exact single-process layout
-        (:meth:`BatchedFlatStates.concat` re-stacks the CSR arrays,
-        :meth:`FRTForest.concat` re-pads ragged per-shard depths to the
-        global ``k_max`` and rebases node offsets) — bit-identical to the
-        in-process batched run, pinned by ``tests/test_api_pipeline.py``.
-        """
-        # Fail fast in the parent on a batch-incapable backend, and ship
-        # the resolved backend by value: under spawn/forkserver start
-        # methods the workers re-import the registry fresh, which only
-        # holds the built-ins.
-        _, backend = self._resolve_batch_backend()
-        t0 = time.perf_counter()
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(shards)),
-            initializer=_init_ensemble_worker,
-            initargs=(self.G, self.config, self._hopset, self._oracle, backend),
-        ) as pool:
-            cores = list(
-                pool.map(
-                    _ensemble_shard_worker,
-                    [children[lo:hi] for lo, hi in shards],
-                )
-            )
-        core = _BatchCore(
-            lists=BatchedFlatStates.concat([c.lists for c in cores]),
-            iterations=np.concatenate([c.iterations for c in cores]),
-            ledgers=[led for c in cores for led in c.ledgers],
-            ranks=np.concatenate([c.ranks for c in cores]),
-            betas=np.concatenate([c.betas for c in cores]),
-            extra_meta=cores[0].extra_meta,
-            forest=FRTForest.concat([c.forest for c in cores]),
-            elapsed=0.0,  # the pool wall-time below covers the whole pass
-        )
-        pairs = self._pairs_from_core(core)
-        self.stats["samples"] += len(children)
-        self.timings["samples"] = self.timings.get("samples", 0.0) + (
-            time.perf_counter() - t0
-        )
-        return pairs, core.forest
+    def _sample_meta(self, oracle: HOracle | None, backend) -> dict:
+        """The per-tree ``EmbeddingResult.meta`` of the configured method."""
+        if oracle is None:
+            return {"pipeline": "direct", "backend": backend.name}
+        return {
+            "pipeline": "oracle",
+            "hop_d": oracle.d,
+            "Lambda": oracle.Lambda,
+            "penalty_base": oracle.penalty_base,
+            "eps": self.config.hopset.eps,
+        }
 
     # -- problem solving ------------------------------------------------------
 
@@ -570,8 +410,8 @@ class Pipeline:
 
         The application-level counterpart of :meth:`solve`: one call per
         problem instance, routed through the forest-backed batch path
-        (``sample_ensemble(mode="batched")`` + the vectorized DP/routing
-        kernels of :mod:`repro.apps.batched`), with wall-clock recorded in
+        (``sample_ensemble`` + the vectorized DP/routing kernels of
+        :mod:`repro.apps.batched`), with wall-clock recorded in
         ``timings["apps"]`` and the call count in ``stats["apps"]``.
 
         >>> res = pipe.solve_app("kmedian", k=4, trees=8)
@@ -650,23 +490,19 @@ class Pipeline:
         k: int,
         *,
         seed: int | None = None,
-        workers: int | None = None,
         execution: ExecutionConfig | None = None,
     ) -> dict:
         """Offline build step: sample a ``k``-ensemble and persist it.
 
         One call produces the artifact file the online side preloads
-        (``repro.serve.load_server`` or :meth:`from_artifacts`): samples a
-        batched ensemble (``mode="batched"`` — the stacked forest *is* the
-        storage format), stamps the provenance fingerprint, and writes a
-        ``"result"`` artifact via :func:`repro.io.save_result`.
-        ``workers > 1`` (or an ``execution`` config) shards the build
-        across a process pool — the persisted arrays are bit-identical
-        either way.  Returns the written artifact meta.
+        (``repro.serve.load_server`` or :meth:`from_artifacts`): samples
+        the ensemble (its stacked forest *is* the storage format), stamps
+        the provenance fingerprint, and writes a ``"result"`` artifact via
+        :func:`repro.io.save_result`.  ``execution`` spreads the build over
+        worker processes; the persisted arrays are bit-identical either
+        way.  Returns the written artifact meta.
         """
-        result = self.sample_ensemble(
-            k, seed=seed, workers=workers, mode="batched", execution=execution
-        )
+        result = self.sample_ensemble(k, seed=seed, execution=execution)
         return result.save(path)
 
     @staticmethod
@@ -696,10 +532,9 @@ class Pipeline:
         from repro.io.artifacts import content_fingerprint
 
         # The stable content identity: configs + seeds only.  Run-specific
-        # noise (stats, timings) and execution knobs that provably do not
-        # change the result (the whole ExecutionConfig plus the legacy
-        # mode/workers kwargs) are excluded, so equal-content runs share
-        # cache keys and artifact filenames.
+        # noise (stats, timings) and the ExecutionConfig, which provably
+        # does not change the result, are excluded, so equal-content runs
+        # share cache keys and artifact filenames.
         content_config = self.config.to_dict()
         content_config.pop("execution", None)
         fingerprint = content_fingerprint(
@@ -745,73 +580,56 @@ class Pipeline:
         )
 
 
-def _shard_bounds(
-    k: int, workers: int, shard_size: int | None
-) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` sample slices for the sharded batched path.
+_WORKER_ARGS: tuple | None = None
 
-    ``workers <= 1`` is a single shard (run in-process — a pool of one
-    would only add overhead for bit-identical results).  Otherwise shards
-    hold ``shard_size`` samples each (default: ``ceil(k / workers)``, one
-    shard per worker), the last one whatever remains; ``workers > k``
-    degenerates to ``k`` singleton shards.
+
+def _init_slice_worker(G, oracle, backend) -> None:
+    """Pool initializer: keep the shared sampling inputs once per worker."""
+    global _WORKER_ARGS
+    _WORKER_ARGS = (G, oracle, backend)
+
+
+def _slice_worker(children: list[np.random.Generator]) -> tuple:
+    """Process-pool body: :func:`_sample_slice` over one slice of samples."""
+    assert _WORKER_ARGS is not None, "pool initializer did not run"
+    return _sample_slice(*_WORKER_ARGS, children)
+
+
+def _sample_slice(
+    G: Graph,
+    oracle: HOracle | None,
+    backend,
+    children: list[np.random.Generator],
+) -> tuple:
+    """Draws and LE lists of a contiguous run of samples.
+
+    Each child generator draws its sample's ``(rank, beta)``, and the
+    batched LE-list driver runs on that one ``(1, n)`` rank matrix: the
+    oracle's when ``oracle`` is given, else ``backend``'s.  Returns the
+    picklable ``(lists, iterations, ledgers, ranks, betas)`` of the slice,
+    with the lists stacked in sample order.
     """
-    if workers <= 1:
-        return [(0, k)]
-    size = shard_size if shard_size is not None else -(-k // workers)
-    return [(lo, min(lo + size, k)) for lo in range(0, k, size)]
-
-
-@dataclass
-class _BatchCore:
-    """Raw stacked outputs of one batched-engine pass (one shard's payload).
-
-    Everything here is picklable — this is exactly what a sharded worker
-    ships back to the parent, and what the parent concatenates
-    (sample-axis order preserved) before the per-sample
-    :class:`~repro.frt.embedding.EmbeddingResult` views are assembled.
-    """
-
-    lists: BatchedFlatStates
-    iterations: np.ndarray  # (k,) int64
-    ledgers: list[CostLedger]
-    ranks: np.ndarray  # (k, n) int64
-    betas: np.ndarray  # (k,) float64
-    extra_meta: dict
-    forest: FRTForest
-    elapsed: float
-
-
-_WORKER_PIPELINE: Pipeline | None = None
-
-
-def _init_ensemble_worker(graph, config, hopset, oracle, backend) -> None:
-    """Pool initializer: rebuild the shared pipeline once per worker."""
-    from repro.api.registry import register_backend
-
-    global _WORKER_PIPELINE
-    if backend is not None:
-        # The worker's registry may hold only the built-ins (spawn /
-        # forkserver) or a stale entry under the same name — the shipped
-        # backend is authoritative.
-        register_backend(backend, overwrite=True)
-    _WORKER_PIPELINE = Pipeline(graph, config, hopset=hopset, oracle=oracle)
-
-
-def _ensemble_worker(child_rng) -> tuple[EmbeddingResult, CostLedger]:
-    """Process-pool body: sample one tree from the per-worker pipeline."""
-    assert _WORKER_PIPELINE is not None, "pool initializer did not run"
-    ledger = CostLedger()
-    emb = _WORKER_PIPELINE.sample(rng=child_rng, ledger=ledger)
-    return emb, ledger
-
-
-def _ensemble_shard_worker(children: list[np.random.Generator]) -> _BatchCore:
-    """Process-pool body: one batched-engine pass over a shard of samples.
-
-    The shard's child generators were spawned by the parent before the
-    fan-out, so the draws here are bit-identical to the in-process pass
-    over the same slice regardless of how ``k`` was sharded.
-    """
-    assert _WORKER_PIPELINE is not None, "pool initializer did not run"
-    return _WORKER_PIPELINE._sample_batch_core(children)
+    lists, iterations, ledgers, ranks, betas = [], [], [], [], []
+    for child in children:
+        rank, beta = _draw_randomness(G.n, child)
+        ledger = CostLedger()
+        if oracle is not None:
+            sample_lists, iters = compute_le_lists_batch_via_oracle(
+                oracle, rank[None, :], ledgers=[ledger]
+            )
+        else:
+            sample_lists, iters = backend.le_lists_batch(
+                G, rank[None, :], ledgers=[ledger]
+            )
+        lists.append(sample_lists)
+        iterations.append(np.asarray(iters, dtype=np.int64))
+        ledgers.append(ledger)
+        ranks.append(rank)
+        betas.append(beta)
+    return (
+        BatchedFlatStates.concat(lists),
+        np.concatenate(iterations),
+        ledgers,
+        np.stack(ranks),
+        np.array(betas),
+    )

@@ -390,7 +390,7 @@ def register_backend(backend: MBFBackend, *, overwrite: bool = False) -> MBFBack
         # take BOTH LE drivers verbatim from the backend: inheriting the
         # old batched driver next to a new serial one would silently break
         # the serial/batched bit-identical guarantee, where a backend
-        # without a batched driver fails loudly in mode="batched".
+        # without a batched driver fails loudly in sample_ensemble.
         # ``replace`` keeps this future-proof against new MBFEngine fields.
         engine = replace(
             prev,

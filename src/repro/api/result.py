@@ -79,19 +79,18 @@ class PipelineResult:
         build counters (``hopset_builds <= 1`` verifies the batch reused
         one artifact set).
     forest:
-        The stacked :class:`~repro.frt.forest.FRTForest` view of the same
-        trees when the batch was sampled with ``mode="batched"`` (else
-        ``None``); :meth:`ensemble` hands it to the
-        :class:`~repro.frt.ensemble.FRTEnsemble` so distance queries run
-        vectorized across all trees.
+        The stacked :class:`~repro.frt.forest.FRTForest` holding the same
+        trees (each embedding's tree is a view into it); :meth:`ensemble`
+        hands it to the :class:`~repro.frt.ensemble.FRTEnsemble` so
+        distance queries run vectorized across all trees.
     """
 
     embeddings: list[EmbeddingResult]
     ledger: CostLedger
+    forest: FRTForest
     ledgers: list[CostLedger] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    forest: FRTForest | None = None
 
     def __post_init__(self):
         if not self.embeddings:
@@ -118,10 +117,10 @@ class PipelineResult:
         return [e.iterations for e in self.embeddings]
 
     def ensemble(self) -> FRTEnsemble:
-        """View the batch as an :class:`~repro.frt.ensemble.FRTEnsemble`
-        (per-pair min/median distances, best-tree selection), forest-backed
-        when the batch was sampled with ``mode="batched"``."""
-        return FRTEnsemble(list(self.embeddings), forest=self.forest)
+        """View the batch as a forest-backed
+        :class:`~repro.frt.ensemble.FRTEnsemble` (per-pair min/median
+        distances, best-tree selection)."""
+        return FRTEnsemble(list(self.embeddings), self.forest)
 
     @property
     def fingerprint(self) -> str | None:
@@ -131,13 +130,13 @@ class PipelineResult:
         return self.meta.get("fingerprint")
 
     def save(self, path) -> dict:
-        """Persist this batched ensemble as one artifact file.
+        """Persist this ensemble as one artifact file.
 
         Delegates to :func:`repro.io.save_result` (schema-versioned,
         provenance-stamped, round-trips bit-identically through
-        ``Pipeline.from_artifacts`` / :func:`repro.io.load_result`).
-        Requires ``mode="batched"`` sampling — the stacked forest is the
-        storage format.  Returns the written artifact meta.
+        ``Pipeline.from_artifacts`` / :func:`repro.io.load_result`); the
+        stacked forest is the storage format.  Returns the written
+        artifact meta.
         """
         from repro.io.artifacts import save_result
 

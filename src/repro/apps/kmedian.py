@@ -282,9 +282,8 @@ def kmedian(
     Samples ``trees`` FRT trees of the candidate submetric and keeps the
     best resulting solution (the standard repetition trick from the
     introduction of the paper).  The whole repetition batch runs through
-    the forest-backed fast path: one
-    ``Pipeline.sample_ensemble(mode="batched")`` call embeds all trees at
-    once and :func:`~repro.apps.batched.hst_kmedian_dp_forest` solves every
+    the forest-backed fast path: one ``Pipeline.sample_ensemble`` call
+    embeds all trees into one forest and :func:`~repro.apps.batched.hst_kmedian_dp_forest` solves every
     tree's DP in one vectorized pass (bit-identical per tree to the serial
     :func:`hst_kmedian_dp` reference).  With ``oracle``, the
     candidate-sampling distance queries run on the simulated graph ``H``
@@ -321,8 +320,7 @@ def kmedian(
     pipe = Pipeline(
         clique, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=g
     )
-    result = pipe.sample_ensemble(max(1, trees), mode="batched")
-    assert result.forest is not None
+    result = pipe.sample_ensemble(max(1, trees))
     _, facility_sets = hst_kmedian_dp_forest(result.forest, weights, k)
     best: tuple[float, np.ndarray] | None = None
     for fac_local in facility_sets:
@@ -338,7 +336,6 @@ def kmedian(
             "candidates": int(Q.size),
             "trees": trees,
             "oracle": oracle is not None,
-            "mode": "batched",
         },
     )
 

@@ -35,7 +35,7 @@ from repro.frt.embedding import (
 )
 from repro.frt.stretch import StretchReport, evaluate_stretch
 from repro.frt.paths import tree_edge_to_graph_path, reconstruct_graph_path
-from repro.frt.ensemble import FRTEnsemble, sample_ensemble
+from repro.frt.ensemble import FRTEnsemble
 from repro.frt.decomposition import HierarchicalDecomposition, decomposition_of
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "tree_edge_to_graph_path",
     "reconstruct_graph_path",
     "FRTEnsemble",
-    "sample_ensemble",
     "HierarchicalDecomposition",
     "decomposition_of",
 ]

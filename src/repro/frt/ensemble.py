@@ -13,42 +13,37 @@ packages that usage:
   user-supplied objective (the "repeat and take the best" pattern used by
   the k-median and buy-at-bulk pipelines).
 
-When the ensemble was built by the batched pipeline, an
-:class:`~repro.frt.forest.FRTForest` backs the distance queries: one
-stacked ``(size, n, k_max+1)`` level-id pass instead of a Python loop over
-per-tree objects.  Results are bit-identical either way (the forest's
-structure arrays *are* the trees').
+An :class:`~repro.frt.forest.FRTForest` of the same trees backs the
+distance queries: one stacked ``(size, n, k_max+1)`` level-id pass instead
+of a Python loop over per-tree objects (the forest's structure arrays
+*are* the trees').  :meth:`repro.api.Pipeline.sample_ensemble` builds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-from repro.frt.embedding import EmbeddingResult, sample_frt_tree
+from repro.frt.embedding import EmbeddingResult
+from repro.frt.forest import FRTForest
 from repro.frt.tree import FRTTree
-from repro.graph.core import Graph
-from repro.util.rng import as_rng
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.frt.forest import FRTForest
-
-__all__ = ["FRTEnsemble", "sample_ensemble"]
+__all__ = ["FRTEnsemble"]
 
 
 @dataclass
 class FRTEnsemble:
     """A fixed collection of independently sampled FRT trees of one graph.
 
-    ``forest``, when given, is the batched stacked-array view of the same
-    trees (:class:`~repro.frt.forest.FRTForest`); distance queries then run
-    as one vectorized pass over all trees instead of a per-tree loop.
+    ``forest`` is the stacked-array view of the same trees
+    (:class:`~repro.frt.forest.FRTForest`); distance queries run as one
+    vectorized pass over it.
     """
 
     embeddings: list[EmbeddingResult]
-    forest: "FRTForest | None" = None
+    forest: FRTForest
 
     def __post_init__(self):
         if not self.embeddings:
@@ -56,23 +51,22 @@ class FRTEnsemble:
         n = self.embeddings[0].tree.n
         if any(e.tree.n != n for e in self.embeddings):
             raise ValueError("all trees must embed the same vertex set")
-        if self.forest is not None:
-            f = self.forest
-            if (
-                f.size != len(self.embeddings)
-                or f.n != n
-                or any(
-                    int(f.depths[s]) != e.tree.k
-                    # reprolint: disable=float-distance-eq (bit-identity
-                    # holds: forest betas are copied from the embeddings at
-                    # construction, never recomputed, so != detects any
-                    # mismatched pairing exactly)
-                    or float(f.betas[s]) != e.tree.beta
-                    or f.num_nodes(s) != e.tree.num_nodes
-                    for s, e in enumerate(self.embeddings)
-                )
-            ):
-                raise ValueError("forest does not match the embeddings")
+        f = self.forest
+        if (
+            f.size != len(self.embeddings)
+            or f.n != n
+            or any(
+                int(f.depths[s]) != e.tree.k
+                # reprolint: disable=float-distance-eq (bit-identity
+                # holds: forest betas are copied from the embeddings at
+                # construction, never recomputed, so != detects any
+                # mismatched pairing exactly)
+                or float(f.betas[s]) != e.tree.beta
+                or f.num_nodes(s) != e.tree.num_nodes
+                for s, e in enumerate(self.embeddings)
+            )
+        ):
+            raise ValueError("forest does not match the embeddings")
 
     @property
     def n(self) -> int:
@@ -87,16 +81,11 @@ class FRTEnsemble:
         return [e.tree for e in self.embeddings]
 
     def distances(self, us, vs) -> np.ndarray:
-        """``(size, |pairs|)`` matrix of tree distances.
-
-        Backed by the stacked forest arrays when available (one vectorized
-        pass over all trees), else a per-tree loop — bit-identical results.
-        """
+        """``(size, |pairs|)`` matrix of tree distances, one vectorized
+        pass over the stacked forest."""
         us = np.atleast_1d(np.asarray(us, dtype=np.int64))
         vs = np.atleast_1d(np.asarray(vs, dtype=np.int64))
-        if self.forest is not None:
-            return self.forest.distances(us, vs)
-        return np.stack([t.distances(us, vs) for t in self.trees])
+        return self.forest.distances(us, vs)
 
     def distance_upper_bounds(self, us, vs) -> np.ndarray:
         """Per-pair min over trees — a dominating estimate that tightens
@@ -123,24 +112,3 @@ class FRTEnsemble:
                 best = (emb, val)
         assert best is not None
         return best
-
-
-def sample_ensemble(
-    G: Graph,
-    size: int,
-    *,
-    rng=None,
-    sampler: Callable[..., EmbeddingResult] | None = None,
-) -> FRTEnsemble:
-    """Sample ``size`` independent FRT trees of ``G``.
-
-    ``sampler`` defaults to the direct pipeline
-    (:func:`~repro.frt.embedding.sample_frt_tree`); pass a closure around
-    :func:`~repro.frt.embedding.sample_frt_tree_via_oracle` with a shared
-    oracle to amortize the hop-set/H construction.
-    """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    g = as_rng(rng)
-    fn = sampler if sampler is not None else (lambda rng: sample_frt_tree(G, rng=rng))
-    return FRTEnsemble([fn(rng=g) for _ in range(size)])

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -133,106 +132,6 @@ class FRTForest:
     def trees(self) -> list[FRTTree]:  # shape: -> object view
         """All samples as tree views (see :meth:`tree`)."""
         return [self.tree(s) for s in range(self.size)]
-
-    @classmethod
-    def concat(
-        cls,
-        forests: Sequence["FRTForest"],  # shape: (b,) object frozen
-    ) -> "FRTForest":  # shape: -> object owned
-        """Concatenate forests along the *sample* axis.
-
-        The inverse of sharding the ensemble build: concatenating the
-        per-shard forests of any contiguous partition of the samples is
-        *bit-identical* — every stacked array, per-tree view, and distance
-        query — to one :func:`build_frt_forest` over the whole batch
-        (pinned by ``tests/test_frt_forest.py``).  Three ingredients make
-        that exact:
-
-        - per-sample node ids are *sample-local*, so ``parent`` /
-          ``node_level`` / ``node_leading`` concatenate verbatim and only
-          ``node_offsets`` is rebased by each predecessor's running node
-          total;
-        - ragged per-shard depths re-pad to the global ``k_max`` with the
-          root-replicating inert padding: a shard's own padding already
-          replicates each sample's root id through its last level, so the
-          extension columns are that last column repeated;
-        - ``radii`` / ``edge_weights`` / ``cum_weights`` are *recomputed*
-          from the concatenated betas via the exact expressions
-          :func:`build_frt_forest` uses (same elementwise operations on
-          the same float64 values — extending a row's ``cumsum`` any other
-          way could change summation order and drift bits).
-
-        All forests must embed the same graph: equal ``n`` and equal
-        ``scale`` (= ``wmin / 2``).
-        """
-        if not forests:
-            raise ValueError("need at least one forest")
-        n, scale = forests[0].n, forests[0].scale
-        for f in forests:
-            if f.n != n:
-                raise ValueError(
-                    f"all forests must share n (got {f.n} != {n})"
-                )
-            if f.scale != scale:
-                raise ValueError(
-                    "all forests must share the same scale (= wmin / 2); "
-                    "they do not embed the same graph"
-                )
-            if int(f.depths.max()) != f.k_max:
-                raise ValueError("forest k_max inconsistent with its depths")
-        size = sum(f.size for f in forests)
-        betas = np.concatenate([f.betas for f in forests])
-        depths = np.concatenate([f.depths for f in forests])
-        k_max = int(depths.max())
-        # The build expressions, verbatim (see build_frt_forest): padding
-        # columns continue the per-sample geometric radii, and cum_weights
-        # rows re-run the full cumsum so summation order matches a
-        # single-process build bit for bit.
-        radii = (betas[:, None] * scale) * np.power(2.0, np.arange(k_max + 1))
-        edge_weights = radii[:, 1:]
-        cum_weights = np.concatenate(
-            [np.zeros((size, 1)), np.cumsum(edge_weights, axis=1)], axis=1
-        )
-        level_ids = np.empty((size, n, k_max + 1), dtype=np.int64)
-        lo = 0
-        for f in forests:
-            hi = lo + f.size
-            level_ids[lo:hi, :, : f.k_max + 1] = f.level_ids
-            # Levels above a shard's k_max replicate each sample's root id
-            # — the shard's last padded column already holds it.
-            level_ids[lo:hi, :, f.k_max + 1 :] = f.level_ids[:, :, -1:]
-            lo = hi
-        node_totals = np.cumsum([0] + [f.total_nodes for f in forests])
-        node_offsets = np.concatenate(
-            [[0]]
-            + [f.node_offsets[1:] + base for f, base in zip(forests, node_totals)]
-        ).astype(np.int64)
-        parent = np.concatenate([f.parent for f in forests])
-        node_level = np.concatenate([f.node_level for f in forests])
-        node_leading = np.concatenate([f.node_leading for f in forests])
-        if freeze_enabled():
-            # Same sanitizer convention as build_frt_forest: the stacked
-            # storage is shared by every tree view, so writes hard-fail.
-            for arr in (betas, depths, radii, edge_weights, cum_weights,
-                        level_ids, node_offsets, parent, node_level,
-                        node_leading):
-                freeze(arr)
-        return cls(
-            n=n,
-            size=size,
-            k_max=k_max,
-            scale=scale,
-            betas=betas,
-            depths=depths,
-            radii=radii,
-            edge_weights=edge_weights,
-            cum_weights=cum_weights,
-            level_ids=level_ids,
-            node_offsets=node_offsets,
-            parent=parent,
-            node_level=node_level,
-            node_leading=node_leading,
-        )
 
     # -- distances -------------------------------------------------------------
 

@@ -17,10 +17,10 @@ Two drivers:
 
 Each has a batched counterpart (:func:`compute_le_lists_batch`,
 :func:`compute_le_lists_batch_via_oracle`) that computes the LE lists of
-``k`` independent random orders in one vectorized pass — the ensemble hot
-path behind ``Pipeline.sample_ensemble(mode="batched")``.  Per-sample
-results (lists, iteration counts, optional ledger charges) are
-bit-identical to ``k`` serial calls.
+``k`` independent random orders in one vectorized pass;
+``Pipeline.sample_ensemble`` calls it once per sample, on a ``(1, n)``
+rank matrix.  Per-sample results (lists, iteration counts, optional
+ledger charges) are bit-identical to ``k`` serial calls.
 """
 
 from __future__ import annotations

@@ -425,27 +425,21 @@ def save_result(
     *,
     provenance: dict | None = None,  # shape: scalar
 ) -> dict:  # shape: -> scalar
-    """Persist a batched :class:`~repro.api.result.PipelineResult` ensemble.
+    """Persist a :class:`~repro.api.result.PipelineResult` ensemble.
 
     Stores the stacked forest, the per-sample ``(rank, beta)`` draws, LE
     lists (as one :class:`~repro.mbf.dense.BatchedFlatStates` CSR block),
     iteration counts, ledger totals, stage timings, and the full
     provenance ``meta`` — enough that :func:`load_result` reconstructs a
     ``PipelineResult`` whose embeddings, forest views, and ensemble query
-    outputs are bit-identical.  Requires a ``mode="batched"`` result (the
-    forest *is* the storage format); serial-mode results raise with a
-    pointer at ``sample_ensemble(mode="batched")``.
+    outputs are bit-identical.  The result's forest *is* the storage
+    format.
 
     ``provenance`` defaults to ``result.meta``; pass an override to stamp
     extra context without mutating the result.  Per-phase ledger traces
     are not preserved — only the work/depth totals round-trip.
     """
-    forest = getattr(result, "forest", None)
-    if forest is None:
-        raise ValueError(
-            "save_result needs a batched ensemble (result.forest is None); "
-            "sample with Pipeline.sample_ensemble(mode='batched')"
-        )
+    forest = result.forest
     embeddings = list(result.embeddings)
     ranks = np.stack([np.asarray(e.rank, dtype=np.int64) for e in embeddings])
     iterations = np.array([int(e.iterations) for e in embeddings], dtype=np.int64)

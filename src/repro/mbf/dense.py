@@ -312,8 +312,8 @@ class BatchedFlatStates:
         point — entries are already stored sample-major, so the payload
         arrays concatenate verbatim and only the offsets are rebased by
         each predecessor's running entry total.  All batches must share
-        ``n``; this is what the sharded ensemble path uses to re-assemble
-        per-worker shard results into the single-process layout.
+        ``n``; ``Pipeline.sample_ensemble`` stacks its per-sample lists
+        with it before the one forest build.
         """
         if not batches:
             raise ValueError("need at least one batch")

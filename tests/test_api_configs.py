@@ -130,33 +130,33 @@ class TestRoundTrip:
 
 
 class TestEnsembleMode:
-    def test_default_serial(self):
-        assert EmbeddingConfig().ensemble_mode == "serial"
-
-    def test_batched_accepted(self):
-        assert EmbeddingConfig(ensemble_mode="batched").ensemble_mode == "batched"
+    """The ensemble-mode knob is gone: one path runs every ensemble, and
+    the old spellings fail loudly instead of being silently ignored."""
 
     def test_unknown_mode_rejected(self):
+        with pytest.raises(TypeError, match="ensemble_mode"):
+            EmbeddingConfig(ensemble_mode="batched")
         with pytest.raises(ValueError, match="ensemble_mode"):
-            EmbeddingConfig(ensemble_mode="parallel")
+            EmbeddingConfig.from_dict({"method": "direct", "ensemble_mode": "serial"})
 
     def test_round_trips(self):
-        cfg = EmbeddingConfig(method="direct", ensemble_mode="batched")
+        cfg = EmbeddingConfig(method="direct", backend="dense-batched")
+        assert cfg.to_dict() == {"method": "direct", "backend": "dense-batched"}
         assert EmbeddingConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestExecutionConfig:
     def test_defaults(self):
         cfg = ExecutionConfig()
-        assert cfg.mode is None  # inherit EmbeddingConfig.ensemble_mode
         assert cfg.workers == 1
-        assert cfg.shard_size is None
+        assert cfg.to_dict() == {"workers": 1}  # the one execution setting
 
     def test_mode_checked(self):
-        with pytest.raises(ValueError, match="execution mode"):
-            ExecutionConfig(mode="parallel")
-        ExecutionConfig(mode="serial")
-        ExecutionConfig(mode="batched")
+        """The removed mode field is rejected, not silently dropped."""
+        with pytest.raises(TypeError, match="mode"):
+            ExecutionConfig(mode="batched")
+        with pytest.raises(ValueError, match="mode"):
+            ExecutionConfig.from_dict({"mode": "batched", "workers": 2})
 
     def test_workers_checked(self):
         with pytest.raises(ValueError, match="workers"):
@@ -169,32 +169,21 @@ class TestExecutionConfig:
             ExecutionConfig(workers=True)  # bools are not worker counts
 
     def test_shard_size_checked(self):
+        """The removed shard_size field is rejected, not silently dropped."""
+        with pytest.raises(TypeError, match="shard_size"):
+            ExecutionConfig(shard_size=2)
         with pytest.raises(ValueError, match="shard_size"):
-            ExecutionConfig(shard_size=0)
-        with pytest.raises(ValueError, match="shard_size"):
-            ExecutionConfig(shard_size="big")
-        assert ExecutionConfig(shard_size=3).shard_size == 3
+            PipelineConfig.from_dict({"execution": {"workers": 2, "shard_size": 1}})
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExecutionConfig().workers = 2
 
     def test_round_trip(self):
-        cfg = ExecutionConfig(mode="batched", workers=4, shard_size=2)
+        cfg = ExecutionConfig(workers=4)
         d = cfg.to_dict()
-        assert d == {"mode": "batched", "workers": 4, "shard_size": 2}
+        assert d == {"workers": 4}
         assert ExecutionConfig.from_dict(d) == cfg
-
-    def test_with_overrides(self):
-        cfg = ExecutionConfig(mode="batched", workers=4, shard_size=2)
-        assert cfg.with_overrides() is cfg  # no-op keeps the instance
-        assert cfg.with_overrides(mode="serial").mode == "serial"
-        assert cfg.with_overrides(workers=8).workers == 8
-        # shard_size always survives a legacy-kwarg override
-        assert cfg.with_overrides(mode="serial", workers=8).shard_size == 2
-        # legacy workers <= 0 historically meant "in-process"
-        assert cfg.with_overrides(workers=0).workers == 1
-        assert cfg.with_overrides(workers=-3).workers == 1
 
     def test_pipeline_nesting(self):
         cfg = PipelineConfig(execution=ExecutionConfig(workers=2))
@@ -204,11 +193,9 @@ class TestExecutionConfig:
             PipelineConfig(execution={"workers": 2})
 
     def test_pipeline_round_trip_with_execution(self):
-        cfg = PipelineConfig(
-            execution=ExecutionConfig(mode="batched", workers=3), seed=1
-        )
+        cfg = PipelineConfig(execution=ExecutionConfig(workers=3), seed=1)
         d = cfg.to_dict()
-        assert d["execution"] == {"mode": "batched", "workers": 3, "shard_size": None}
+        assert d["execution"] == {"workers": 3}
         assert PipelineConfig.from_dict(d) == cfg
 
     def test_pipeline_from_dict_validates_execution(self):

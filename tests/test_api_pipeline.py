@@ -1,5 +1,8 @@
 """The Pipeline facade: artifact caching, batch sampling, legacy parity."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,7 @@ from repro.graph.shortest_paths import dijkstra_distances
 from repro.hopsets import hub_hopset, rounded_hopset
 from repro.oracle import HOracle
 from repro.pram import CostLedger
+from repro.util.rng import spawn_rngs, split_seed
 
 
 def _assert_same_embedding(a, b):
@@ -33,6 +37,19 @@ def _assert_same_embedding(a, b):
     assert a.iterations == b.iterations
     assert a.le_lists.to_dicts() == b.le_lists.to_dicts()
     assert np.array_equal(a.tree.distance_matrix(), b.tree.distance_matrix())
+
+
+def _batch_children(seed, k):
+    """The child generators ``sample_ensemble(k, seed=seed)`` samples from."""
+    return spawn_rngs(split_seed(seed, 2)[1], k)
+
+
+def _per_tree_loop(pipe, children):
+    """The per-tree reference every ensemble tree must equal: one
+    ``sample(rng=child)`` per child.  Returns the embeddings and ledgers."""
+    ledgers = [CostLedger() for _ in children]
+    embs = [pipe.sample(rng=c, ledger=led) for c, led in zip(children, ledgers)]
+    return embs, ledgers
 
 
 class TestLegacyParity:
@@ -154,13 +171,17 @@ class TestEnsemble:
         assert res.ledger.depth == max(led.depth for led in res.ledgers)
 
     def test_workers_match_serial(self):
+        """A pooled ensemble equals the per-tree sample() loop."""
         g = gen.cycle(12, rng=7)
         cfg = PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=3))
-        serial = Pipeline(g, cfg).sample_ensemble(k=3, seed=3)
-        parallel = Pipeline(g, cfg).sample_ensemble(k=3, seed=3, workers=2)
+        pipe = Pipeline(g, cfg)
+        parallel = pipe.sample_ensemble(
+            k=3, seed=3, execution=ExecutionConfig(workers=2)
+        )
+        serial, ledgers = _per_tree_loop(pipe, _batch_children(3, 3))
         for a, b in zip(serial, parallel):
             _assert_same_embedding(a, b)
-        assert parallel.ledger.work == serial.ledger.work
+        assert parallel.ledger.work == sum(led.work for led in ledgers)
 
     def test_seed_none_continues_pipeline_stream(self):
         g = gen.cycle(12, rng=7)
@@ -211,12 +232,17 @@ class TestEnsemble:
         assert "samples" in res.timings
         assert "hopset" not in res.timings and "oracle" not in res.timings
         assert res.timings["samples"] <= res.timings["total"] + 1e-9
-        par = Pipeline(g, PipelineConfig(seed=4)).sample_ensemble(k=2, workers=2)
+        par = Pipeline(g, PipelineConfig(seed=4)).sample_ensemble(
+            k=2, execution=ExecutionConfig(workers=2)
+        )
         assert "samples" in par.timings  # pool wall-time recorded too
 
     def test_empty_result_rejected(self):
+        forest = Pipeline(gen.cycle(8, rng=8), PipelineConfig(seed=0)).sample_ensemble(
+            k=1
+        ).forest
         with pytest.raises(ValueError):
-            PipelineResult(embeddings=[], ledger=CostLedger())
+            PipelineResult(embeddings=[], ledger=CostLedger(), forest=forest)
 
 
 class TestDistanceQueries:
@@ -350,26 +376,26 @@ class TestValidationAndBackends:
 
 
 class TestBatchedEnsemble:
-    """mode="batched" fuses the k LE-list computations into one
-    multi-sample pass; the contract is bit-identical output vs the serial
-    loop — same trees, same per-sample LE lists, same iteration counts,
-    same per-sample ledger charges."""
+    """Every ensemble runs the batched LE-list driver once per sample and
+    builds one forest; the contract is bit-identical output vs the
+    per-tree ``sample(rng=child)`` loop — same trees, same per-sample LE
+    lists, same iteration counts, same per-sample ledger charges."""
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_oracle_path_parity(self, k):
         g = gen.cycle(24, wmin=1, wmax=2, rng=5)
-        cfg = PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4))
-        serial = Pipeline(g, cfg).sample_ensemble(k=k, seed=0, mode="serial")
-        batched = Pipeline(g, cfg).sample_ensemble(k=k, seed=0, mode="batched")
+        pipe = Pipeline(g, PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4)))
+        batched = pipe.sample_ensemble(k=k, seed=0)
+        serial, _ = _per_tree_loop(pipe, _batch_children(0, k))
         for a, b in zip(serial, batched):
             _assert_same_embedding(a, b)
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_direct_dense_path_parity(self, k):
         g = gen.random_graph(30, 70, rng=6)
-        cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        serial = Pipeline(g, cfg).sample_ensemble(k=k, seed=1, mode="serial")
-        batched = Pipeline(g, cfg).sample_ensemble(k=k, seed=1, mode="batched")
+        pipe = Pipeline(g, PipelineConfig(embedding=EmbeddingConfig(method="direct")))
+        batched = pipe.sample_ensemble(k=k, seed=1)
+        serial, _ = _per_tree_loop(pipe, _batch_children(1, k))
         for a, b in zip(serial, batched):
             _assert_same_embedding(a, b)
 
@@ -379,23 +405,24 @@ class TestBatchedEnsemble:
             PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4)),
             PipelineConfig(embedding=EmbeddingConfig(method="direct")),
         ):
-            serial = Pipeline(g, cfg).sample_ensemble(k=3, seed=2, mode="serial")
-            batched = Pipeline(g, cfg).sample_ensemble(k=3, seed=2, mode="batched")
+            pipe = Pipeline(g, cfg)
+            batched = pipe.sample_ensemble(k=3, seed=2)
+            _, ledgers = _per_tree_loop(pipe, _batch_children(2, 3))
             assert [led.work for led in batched.ledgers] == [
-                led.work for led in serial.ledgers
+                led.work for led in ledgers
             ]
             assert [led.depth for led in batched.ledgers] == [
-                led.depth for led in serial.ledgers
+                led.depth for led in ledgers
             ]
-            assert batched.ledger.work == serial.ledger.work
-            assert batched.ledger.depth == serial.ledger.depth
+            assert batched.ledger.work == sum(led.work for led in ledgers)
+            assert batched.ledger.depth == max(led.depth for led in ledgers)
 
     def test_trees_identical_not_just_metrically(self):
         """Beyond the distance matrix: the structure arrays coincide."""
         g = gen.grid(4, 5, rng=8)
-        cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        serial = Pipeline(g, cfg).sample_ensemble(k=3, seed=3, mode="serial")
-        batched = Pipeline(g, cfg).sample_ensemble(k=3, seed=3, mode="batched")
+        pipe = Pipeline(g, PipelineConfig(embedding=EmbeddingConfig(method="direct")))
+        batched = pipe.sample_ensemble(k=3, seed=3)
+        serial, _ = _per_tree_loop(pipe, _batch_children(3, 3))
         for a, b in zip(serial, batched):
             assert np.array_equal(a.tree.level_ids, b.tree.level_ids)
             assert np.array_equal(a.tree.parent, b.tree.parent)
@@ -405,67 +432,69 @@ class TestBatchedEnsemble:
     def test_seed_none_continues_pipeline_stream(self):
         g = gen.cycle(12, rng=9)
         cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"), seed=11)
-        a = Pipeline(g, cfg).sample_ensemble(k=2, mode="serial")
-        b = Pipeline(g, cfg).sample_ensemble(k=2, mode="batched")
+        a = Pipeline(g, cfg).sample_ensemble(k=2)
+        # The direct method builds nothing, so the children are the first
+        # draws of the config-seeded stream.
+        b, _ = _per_tree_loop(Pipeline(g, cfg), spawn_rngs(11, 2))
         for x, y in zip(a, b):
             _assert_same_embedding(x, y)
-
-    def test_mode_defaults_to_config(self):
-        g = gen.cycle(12, rng=9)
-        cfg = PipelineConfig(
-            embedding=EmbeddingConfig(method="direct", ensemble_mode="batched")
-        )
-        res = Pipeline(g, cfg).sample_ensemble(k=2, seed=4)
-        assert res.meta["mode"] == "batched"
-        assert res.meta["stats"]["samples"] == 2
 
     def test_dense_batched_backend_end_to_end(self):
         g = gen.cycle(14, rng=10)
         cfg = PipelineConfig(
             embedding=EmbeddingConfig(method="direct", backend="dense-batched")
         )
-        batched = Pipeline(g, cfg).sample_ensemble(k=3, seed=5, mode="batched")
+        batched = Pipeline(g, cfg).sample_ensemble(k=3, seed=5)
         dense_cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        serial = Pipeline(g, dense_cfg).sample_ensemble(k=3, seed=5, mode="serial")
+        serial, _ = _per_tree_loop(Pipeline(g, dense_cfg), _batch_children(5, 3))
         for a, b in zip(serial, batched):
             _assert_same_embedding(a, b)
 
     def test_batched_amortizes_one_build(self):
         g = gen.cycle(16, rng=11)
         pipe = Pipeline(g, PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4)))
-        res = pipe.sample_ensemble(k=4, seed=6, mode="batched")
+        res = pipe.sample_ensemble(k=4, seed=6)
         assert res.meta["stats"]["hopset_builds"] == 1
         assert res.meta["stats"]["oracle_builds"] == 1
         assert res.meta["stats"]["samples"] == 4
         assert res.timings["samples"] <= res.timings["total"] + 1e-9
 
     def test_unknown_mode_rejected(self):
-        g = gen.cycle(8, rng=12)
-        with pytest.raises(ValueError, match="mode"):
-            Pipeline(g, PipelineConfig(seed=0)).sample_ensemble(k=2, mode="turbo")
+        """The removed loose ``mode=``/``workers=`` kwargs fail loudly."""
+        pipe = Pipeline(gen.cycle(8, rng=12), PipelineConfig(seed=0))
+        with pytest.raises(TypeError, match="mode"):
+            pipe.sample_ensemble(k=2, mode="batched")
+        with pytest.raises(TypeError, match="workers"):
+            pipe.sample_ensemble(k=2, workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            pipe.save_artifacts("unused.rpz", 2, workers=2)
 
     def test_workers_no_longer_rejected_with_batched(self):
-        """Regression (sharded-ensemble PR): batched mode used to reject
-        workers > 1; it now shards the sample axis instead of raising."""
+        """Regression: the fused batch once rejected workers > 1; the one
+        ensemble path runs slices of samples in a pool instead."""
         g = gen.cycle(8, rng=12)
         res = Pipeline(g, PipelineConfig(seed=0)).sample_ensemble(
-            k=2, mode="batched", workers=2
+            k=2, execution=ExecutionConfig(workers=2)
         )
-        assert res.size == 2 and res.forest is not None
+        assert res.size == 2 and res.forest.size == 2
 
     def test_backend_without_batch_driver_rejected(self):
         g = gen.cycle(8, rng=12)
         cfg = PipelineConfig(
             embedding=EmbeddingConfig(method="direct", backend="reference")
         )
-        with pytest.raises(ValueError, match="batched LE-list driver"):
-            Pipeline(g, cfg, rng=0).sample_ensemble(k=2, mode="batched")
+        pipe = Pipeline(g, cfg, rng=0)
+        with pytest.raises(ValueError, match="batched LE-list driver") as err:
+            pipe.sample_ensemble(k=2)
+        assert "Pipeline.sample()" in str(err.value)
+        assert pipe.stats["samples"] == 0
+        pipe.sample()  # the per-tree path still runs on this backend
 
     def test_batch_seed_does_not_shift_pipeline_stream(self):
         g = gen.cycle(16, rng=5)
         cfg = PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4))
         p1 = Pipeline(g, cfg, rng=0)
-        p1.sample_ensemble(k=2, seed=5, mode="batched")
+        p1.sample_ensemble(k=2, seed=5)
         after_batch = p1.sample()
         p2 = Pipeline(g, cfg, rng=0, hopset=p1.hopset(), oracle=p1.oracle())
         _assert_same_embedding(after_batch, p2.sample())
@@ -506,173 +535,122 @@ def _assert_same_result(a, b):
 
 
 class TestShardedBatchedEnsemble:
-    """workers > 1 in batched mode shards the sample axis across a process
-    pool; the contract is *bit-identical* output vs the in-process batched
-    run — all stacked forest arrays, per-tree views, per-sample LE lists,
-    and ledgers — for every shard geometry."""
+    """workers > 1 runs contiguous slices of the samples in a process pool
+    and the parent builds the one forest; the contract is *bit-identical*
+    output vs the in-process run — all stacked forest arrays, per-tree
+    views, per-sample LE lists, and ledgers — for every slice geometry."""
 
     def _cfg(self, **kw):
         return PipelineConfig(embedding=EmbeddingConfig(method="direct"), **kw)
 
+    def _pair(self, g, cfg, k, seed, workers):
+        one = Pipeline(g, cfg).sample_ensemble(k=k, seed=seed)
+        many = Pipeline(g, cfg).sample_ensemble(
+            k=k, seed=seed, execution=ExecutionConfig(workers=workers)
+        )
+        return one, many
+
     def test_even_split_matches_in_process(self):
         g = gen.random_graph(30, 70, rng=13)
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=4, seed=7, mode="batched")
-        two = Pipeline(g, self._cfg()).sample_ensemble(
-            k=4, seed=7, mode="batched", workers=2
-        )
-        _assert_same_result(one, two)
+        _assert_same_result(*self._pair(g, self._cfg(), 4, 7, 2))
 
     def test_k_not_divisible_by_workers(self):
         g = gen.random_graph(24, 60, rng=14)
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=7, seed=8, mode="batched")
-        two = Pipeline(g, self._cfg()).sample_ensemble(
-            k=7, seed=8, mode="batched", workers=3
-        )
-        _assert_same_result(one, two)
+        _assert_same_result(*self._pair(g, self._cfg(), 7, 8, 3))
 
     def test_workers_exceed_k(self):
         g = gen.cycle(16, rng=15)
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=3, seed=9, mode="batched")
-        two = Pipeline(g, self._cfg()).sample_ensemble(
-            k=3, seed=9, mode="batched", workers=8
-        )
-        _assert_same_result(one, two)
+        _assert_same_result(*self._pair(g, self._cfg(), 3, 9, 8))
 
-    def test_workers_one_is_in_process(self):
-        """workers=1 must not spin up a pool — and must equal the plain
-        batched run bit for bit (same code path)."""
+    def test_workers_one_is_in_process(self, monkeypatch):
+        """workers=1 must not spin up a pool — and must equal the default
+        run bit for bit (same code path)."""
+        import repro.api.pipeline as pipeline_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 started a process pool")
+
+        monkeypatch.setattr(pipeline_module, "ProcessPoolExecutor", no_pool)
         g = gen.cycle(12, rng=16)
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=3, seed=10, mode="batched")
-        two = Pipeline(g, self._cfg()).sample_ensemble(
-            k=3, seed=10, mode="batched", workers=1
-        )
-        _assert_same_result(one, two)
-
-    def test_explicit_shard_size(self):
-        """shard_size=1 degenerates to one sample per task; still identical."""
-        g = gen.random_graph(20, 50, rng=17)
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=5, seed=11, mode="batched")
-        two = Pipeline(g, self._cfg()).sample_ensemble(
-            k=5,
-            seed=11,
-            execution=ExecutionConfig(mode="batched", workers=2, shard_size=1),
-        )
-        _assert_same_result(one, two)
+        _assert_same_result(*self._pair(g, self._cfg(), 3, 10, 1))
 
     def test_ragged_shard_depths(self):
-        """Shards whose local k_max differ re-pad to the global k_max.
+        """Slices whose samples have different depths still pad to the
+        global k_max: the parent builds the forest from all the lists.
 
-        A wide weight range spreads per-sample root distances, so with
-        singleton shards each worker's forest has its own depth; the
-        concat must still reproduce the single-process padding."""
+        A wide weight range spreads per-sample root distances; with
+        singleton slices each worker's samples have their own depth."""
         g = gen.random_graph(24, 60, wmin=1.0, wmax=64.0, rng=18)
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=6, seed=12, mode="batched")
-        two = Pipeline(g, self._cfg()).sample_ensemble(
-            k=6,
-            seed=12,
-            execution=ExecutionConfig(mode="batched", workers=3, shard_size=1),
-        )
+        one, many = self._pair(g, self._cfg(), 6, 12, 6)
         assert len(set(one.forest.depths.tolist())) > 1  # genuinely ragged
-        _assert_same_result(one, two)
+        _assert_same_result(one, many)
 
     def test_oracle_method_shards_too(self):
         g = gen.cycle(20, wmin=1, wmax=2, rng=19)
         cfg = PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4))
-        one = Pipeline(g, cfg).sample_ensemble(k=4, seed=13, mode="batched")
-        two = Pipeline(g, cfg).sample_ensemble(
-            k=4, seed=13, mode="batched", workers=2
-        )
-        _assert_same_result(one, two)
+        _assert_same_result(*self._pair(g, cfg, 4, 13, 2))
 
     def test_single_vertex_graph(self):
         g = Graph(1, np.empty((0, 2), dtype=np.int64), [])
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=3, seed=14, mode="batched")
-        two = Pipeline(g, self._cfg()).sample_ensemble(
-            k=3, seed=14, mode="batched", workers=2
-        )
-        _assert_same_result(one, two)
-
-    def test_sharded_serial_mode_untouched(self):
-        """The legacy serial pool path still answers mode='serial'."""
-        g = gen.cycle(12, rng=7)
-        cfg = PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=3))
-        serial = Pipeline(g, cfg).sample_ensemble(k=3, seed=3)
-        pooled = Pipeline(g, cfg).sample_ensemble(
-            k=3, seed=3, execution=ExecutionConfig(mode="serial", workers=2)
-        )
-        for a, b in zip(serial, pooled):
-            _assert_same_embedding(a, b)
-        assert pooled.forest is None
+        _assert_same_result(*self._pair(g, self._cfg(), 3, 14, 2))
 
     def test_stats_and_meta(self):
         g = gen.cycle(12, rng=16)
         pipe = Pipeline(g, self._cfg())
-        res = pipe.sample_ensemble(k=4, seed=15, mode="batched", workers=2)
+        res = pipe.sample_ensemble(
+            k=4, seed=15, execution=ExecutionConfig(workers=2)
+        )
         assert pipe.stats["samples"] == 4
-        assert res.meta["mode"] == "batched" and res.meta["workers"] == 2
-        assert res.meta["execution"] == {
-            "mode": "batched",
-            "workers": 2,
-            "shard_size": None,
-        }
+        assert res.meta["execution"] == {"workers": 2}
+        assert "mode" not in res.meta
         assert res.timings["samples"] <= res.timings["total"] + 1e-9
 
     def test_fingerprint_excludes_execution(self):
         """The provenance fingerprint is an execution-independent content
-        identity: serial, batched, and sharded runs of the same configs +
-        seeds all share it — and so does a config carrying a non-default
+        identity: in-process and pooled runs of the same configs + seeds
+        share it — and so does a config carrying a non-default
         ExecutionConfig."""
         g = gen.random_graph(20, 50, rng=18)
         base = self._cfg(seed=0)
-        sharded_cfg = PipelineConfig(
-            embedding=EmbeddingConfig(method="direct"),
-            execution=ExecutionConfig(mode="batched", workers=2),
-            seed=0,
-        )
+        pooled_cfg = self._cfg(execution=ExecutionConfig(workers=2), seed=0)
         prints = {
-            Pipeline(g, base).sample_ensemble(k=2, seed=1, mode="serial").fingerprint,
-            Pipeline(g, base).sample_ensemble(k=2, seed=1, mode="batched").fingerprint,
+            Pipeline(g, base).sample_ensemble(k=2, seed=1).fingerprint,
             Pipeline(g, base)
-            .sample_ensemble(k=2, seed=1, mode="batched", workers=2)
+            .sample_ensemble(k=2, seed=1, execution=ExecutionConfig(workers=2))
             .fingerprint,
-            Pipeline(g, sharded_cfg).sample_ensemble(k=2, seed=1).fingerprint,
+            Pipeline(g, pooled_cfg).sample_ensemble(k=2, seed=1).fingerprint,
         }
         assert len(prints) == 1
 
     def test_execution_config_from_pipeline_config(self):
-        """config.execution drives sample_ensemble when no kwargs given."""
+        """config.execution drives sample_ensemble when no override given."""
         g = gen.random_graph(20, 50, rng=19)
-        cfg = PipelineConfig(
-            embedding=EmbeddingConfig(method="direct"),
-            execution=ExecutionConfig(mode="batched", workers=2),
-        )
+        cfg = self._cfg(execution=ExecutionConfig(workers=2))
         res = Pipeline(g, cfg).sample_ensemble(k=4, seed=16)
-        baseline = Pipeline(g, self._cfg()).sample_ensemble(
-            k=4, seed=16, mode="batched"
-        )
+        baseline = Pipeline(g, self._cfg()).sample_ensemble(k=4, seed=16)
         _assert_same_result(baseline, res)
-        assert res.meta["mode"] == "batched" and res.meta["workers"] == 2
-
-    def test_legacy_kwargs_override_execution_config(self):
-        """The deprecated loose kwargs win over the config — bit-identically
-        mapped onto ExecutionConfig fields."""
-        g = gen.cycle(12, rng=20)
-        cfg = PipelineConfig(
-            embedding=EmbeddingConfig(method="direct"),
-            execution=ExecutionConfig(mode="batched", workers=4),
-        )
-        res = Pipeline(g, cfg).sample_ensemble(k=2, seed=17, mode="serial", workers=0)
-        assert res.meta["mode"] == "serial" and res.meta["workers"] == 1
-        assert res.forest is None
+        assert res.meta["execution"] == {"workers": 2}
 
     def test_save_artifacts_with_workers(self, tmp_path):
-        """Regression: save_artifacts(..., workers=2) used to raise through
-        the batched-mode guard; it must now shard the offline build and
-        persist arrays bit-identical to the in-process build."""
+        """An offline build over two workers writes the same artifact as
+        the in-process build: every array member byte for byte, and a
+        meta.json that differs only in timings and the execution record."""
         g = gen.random_graph(24, 60, rng=21)
         p1, p2 = tmp_path / "one.rpz", tmp_path / "two.rpz"
         Pipeline(g, self._cfg(seed=0)).save_artifacts(p1, 4, seed=3)
-        meta = Pipeline(g, self._cfg(seed=0)).save_artifacts(p2, 4, seed=3, workers=2)
+        meta = Pipeline(g, self._cfg(seed=0)).save_artifacts(
+            p2, 4, seed=3, execution=ExecutionConfig(workers=2)
+        )
+        with zipfile.ZipFile(p1) as z1, zipfile.ZipFile(p2) as z2:
+            assert z1.namelist() == z2.namelist()
+            for name in z1.namelist():
+                if name != "meta.json":
+                    assert z1.read(name) == z2.read(name), name
+            m1, m2 = (json.loads(z.read("meta.json")) for z in (z1, z2))
+        for m in (m1, m2):
+            m["result"].pop("timings")
+            m["provenance"].pop("execution")
+        assert m1 == m2
         one = Pipeline.from_artifacts(p1)
         two = Pipeline.from_artifacts(p2)
         _assert_same_forest(one.forest, two.forest)

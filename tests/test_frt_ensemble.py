@@ -3,67 +3,53 @@
 import numpy as np
 import pytest
 
+from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
 from repro.frt import (
     decomposition_of,
     FRTEnsemble,
-    sample_ensemble,
     sample_frt_tree,
-    sample_frt_tree_via_oracle,
 )
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances
+
+DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
 
 class TestEnsembleBasics:
     def test_sample_size(self):
         g = gen.cycle(16, rng=0)
-        ens = sample_ensemble(g, 5, rng=1)
+        ens = Pipeline(g, DIRECT).sample_ensemble(5, seed=1).ensemble()
         assert ens.size == 5
         assert ens.n == 16
 
     def test_size_validation(self):
         g = gen.cycle(8, rng=0)
+        pipe = Pipeline(g, DIRECT)
         with pytest.raises(ValueError):
-            sample_ensemble(g, 0)
+            pipe.sample_ensemble(0)
+        forest = pipe.sample_ensemble(1, seed=0).forest
         with pytest.raises(ValueError):
-            FRTEnsemble([])
+            FRTEnsemble([], forest)
 
     def test_mixed_n_rejected(self):
         a = sample_frt_tree(gen.cycle(8, rng=0), rng=1)
         b = sample_frt_tree(gen.cycle(9, rng=0), rng=1)
+        forest = Pipeline(gen.cycle(8, rng=0), DIRECT).sample_ensemble(2).forest
         with pytest.raises(ValueError):
-            FRTEnsemble([a, b])
-
-    def test_custom_sampler(self):
-        g = gen.cycle(16, rng=2)
-        calls = []
-
-        def sampler(rng):
-            calls.append(1)
-            return sample_frt_tree(g, rng=rng)
-
-        ens = sample_ensemble(g, 3, rng=3, sampler=sampler)
-        assert len(calls) == 3 and ens.size == 3
+            FRTEnsemble([a, b], forest)
 
     def test_oracle_sampler_integration(self):
-        from repro.hopsets import hub_hopset
-        from repro.oracle import HOracle
-
         g = gen.cycle(20, rng=4)
-        oracle = HOracle(hub_hopset(g, d0=3, rng=5), rng=6)
-        ens = sample_ensemble(
-            g,
-            3,
-            rng=7,
-            sampler=lambda rng: sample_frt_tree_via_oracle(g, oracle=oracle, rng=rng),
-        )
+        res = Pipeline(g, PipelineConfig(seed=5)).sample_ensemble(3, seed=7)
+        ens = res.ensemble()
         assert ens.size == 3
+        assert res.meta["stats"]["oracle_builds"] == 1
 
 
 class TestEnsembleDistances:
     def setup_method(self):
         self.g = gen.grid(5, 5, rng=10)
-        self.ens = sample_ensemble(self.g, 8, rng=11)
+        self.ens = Pipeline(self.g, DIRECT).sample_ensemble(8, seed=11).ensemble()
         self.D = dijkstra_distances(self.g)
 
     def test_distances_shape(self):
@@ -77,8 +63,8 @@ class TestEnsembleDistances:
 
     def test_min_tightens_with_size(self):
         iu, ju = np.triu_indices(25, k=1)
-        small = FRTEnsemble(self.ens.embeddings[:2])
-        ratio_small = (small.distance_upper_bounds(iu, ju) / self.D[iu, ju]).mean()
+        small = self.ens.distances(iu, ju)[:2].min(axis=0)
+        ratio_small = (small / self.D[iu, ju]).mean()
         ratio_full = (self.ens.distance_upper_bounds(iu, ju) / self.D[iu, ju]).mean()
         assert ratio_full <= ratio_small
 
@@ -97,44 +83,30 @@ class TestEnsembleDistances:
 
 class TestForestBackedEnsemble:
     def setup_method(self):
-        from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
-
         self.g = gen.random_graph(40, 110, rng=30)
-        cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        self.res = Pipeline(self.g, cfg).sample_ensemble(
-            k=6, seed=3, mode="batched"
-        )
+        self.res = Pipeline(self.g, DIRECT).sample_ensemble(k=6, seed=3)
 
     def test_forest_and_loop_queries_identical(self):
         ens = self.res.ensemble()
-        assert ens.forest is not None
-        bare = FRTEnsemble(list(ens.embeddings))  # no forest: per-tree loop
         iu, ju = np.triu_indices(self.g.n, k=1)
-        assert np.array_equal(ens.distances(iu, ju), bare.distances(iu, ju))
+        loop = np.stack([t.distances(iu, ju) for t in ens.trees])  # per tree
+        assert np.array_equal(ens.distances(iu, ju), loop)
+        assert np.array_equal(ens.distance_upper_bounds(iu, ju), loop.min(axis=0))
         assert np.array_equal(
-            ens.distance_upper_bounds(iu, ju),
-            bare.distance_upper_bounds(iu, ju),
-        )
-        assert np.array_equal(
-            ens.median_distances(iu, ju), bare.median_distances(iu, ju)
+            ens.median_distances(iu, ju), np.median(loop, axis=0)
         )
 
     def test_mismatched_forest_rejected(self):
         ens = self.res.ensemble()
         with pytest.raises(ValueError):
-            FRTEnsemble(list(ens.embeddings[:2]), forest=ens.forest)
+            FRTEnsemble(list(ens.embeddings[:2]), ens.forest)
 
     def test_shape_compatible_wrong_forest_rejected(self):
         # Same graph, same k, different seed: (size, n) match but the
         # trees differ — the per-sample invariants must catch it.
-        from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
-
-        cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        other = Pipeline(self.g, cfg).sample_ensemble(
-            k=6, seed=99, mode="batched"
-        )
+        other = Pipeline(self.g, DIRECT).sample_ensemble(k=6, seed=99)
         with pytest.raises(ValueError):
-            FRTEnsemble(list(self.res.embeddings), forest=other.forest)
+            FRTEnsemble(list(self.res.embeddings), other.forest)
 
 
 class TestDecomposition:

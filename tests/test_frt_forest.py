@@ -21,6 +21,7 @@ from repro.graph.core import Graph
 from repro.hopsets import hub_hopset
 from repro.mbf.dense import BatchedFlatStates
 from repro.oracle import HOracle
+from repro.util.rng import spawn_rngs, split_seed
 
 TREE_ARRAYS = (
     "radii",
@@ -125,8 +126,10 @@ class TestForestParity:
 
 
 class TestForestConcat:
-    """FRTForest.concat(shards) ≡ build_frt_forest(whole batch), bit for
-    bit — the primitive that makes sharded ensemble builds exact."""
+    """Per-shard LE lists stacked with ``BatchedFlatStates.concat`` and
+    built into one forest ≡ the forest of the whole batch, bit for bit —
+    the assembly ``Pipeline.sample_ensemble`` uses: samples (or worker
+    slices) run their LE lists separately, the parent builds one forest."""
 
     FOREST_ARRAYS = (
         "betas", "depths", "radii", "edge_weights", "cum_weights",
@@ -134,19 +137,19 @@ class TestForestConcat:
     )
 
     @staticmethod
-    def _shard_forests(g, ranks, betas, bounds):
+    def _shard_lists(g, ranks, bounds):
+        return [compute_le_lists_batch(g, ranks[lo:hi])[0] for lo, hi in bounds]
+
+    def _assemble(self, g, ranks, betas, bounds):
         wmin, _ = g.weight_bounds()
-        out = []
-        for lo, hi in bounds:
-            lists, _ = compute_le_lists_batch(g, ranks[lo:hi])
-            out.append(build_frt_forest(lists, ranks[lo:hi], betas[lo:hi], wmin))
-        return out
+        lists = BatchedFlatStates.concat(self._shard_lists(g, ranks, bounds))
+        return build_frt_forest(lists, ranks, betas, wmin)
 
     def _assert_concat_matches_full(self, g, ranks, betas, bounds):
         wmin, _ = g.weight_bounds()
         lists, _ = compute_le_lists_batch(g, ranks)
         full = build_frt_forest(lists, ranks, betas, wmin)
-        merged = FRTForest.concat(self._shard_forests(g, ranks, betas, bounds))
+        merged = self._assemble(g, ranks, betas, bounds)
         assert merged.n == full.n and merged.size == full.size
         assert merged.k_max == full.k_max and merged.scale == full.scale
         for name in self.FOREST_ARRAYS:
@@ -175,17 +178,21 @@ class TestForestConcat:
         self._assert_concat_matches_full(g, ranks, betas, [(0, 3)])
 
     def test_ragged_shard_depths(self):
-        """Shards whose local k_max differ exercise the re-padding path:
-        extension columns must replicate each sample's root id."""
+        """Shards whose own forests would differ in depth still assemble
+        into the one-pass padding: levels above a sample's depth
+        replicate its root id."""
         g = gen.random_graph(50, 140, rng=102)
         ranks, _ = _draws(g.n, 6, seed=102)
         betas = np.array([1.0, 1.99, 1.0, 1.99, 1.5, 1.01])
-        shards = self._shard_forests(g, ranks, betas, [(0, 2), (2, 4), (4, 6)])
-        assert len({f.k_max for f in shards}) > 1  # genuinely ragged
-        merged, full = self._assert_concat_matches_full(
-            g, ranks, betas, [(0, 2), (2, 4), (4, 6)]
-        )
-        assert merged.k_max == max(f.k_max for f in shards)
+        bounds = [(0, 2), (2, 4), (4, 6)]
+        wmin, _ = g.weight_bounds()
+        shard_depths = {
+            build_frt_forest(lists, ranks[lo:hi], betas[lo:hi], wmin).k_max
+            for lists, (lo, hi) in zip(self._shard_lists(g, ranks, bounds), bounds)
+        }
+        assert len(shard_depths) > 1  # genuinely ragged
+        merged, full = self._assert_concat_matches_full(g, ranks, betas, bounds)
+        assert merged.k_max == max(shard_depths)
         # The padded columns stay inert for LCA queries.
         us = np.arange(g.n - 1)
         assert np.array_equal(
@@ -200,29 +207,20 @@ class TestForestConcat:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
-            FRTForest.concat([])
+            self._assemble(gen.cycle(6, rng=36), np.empty((0, 6)), np.empty(0), [])
 
     def test_rejects_mismatched_graphs(self):
         g1, g2 = gen.cycle(10, rng=36), gen.cycle(12, rng=37)
-        r1, b1 = _draws(g1.n, 2, seed=38)
-        r2, b2 = _draws(g2.n, 2, seed=39)
-        (f1,) = self._shard_forests(g1, r1, b1, [(0, 2)])
-        (f2,) = self._shard_forests(g2, r2, b2, [(0, 2)])
-        with pytest.raises(ValueError, match="share n"):
-            FRTForest.concat([f1, f2])
-        # Same n but different wmin → different scale: also rejected.
-        g3 = gen.cycle(10, wmin=2.0, wmax=2.0, rng=40)
-        r3, b3 = _draws(g3.n, 2, seed=41)
-        (f3,) = self._shard_forests(g3, r3, b3, [(0, 2)])
-        with pytest.raises(ValueError, match="scale"):
-            FRTForest.concat([f1, f3])
+        (l1,) = self._shard_lists(g1, _draws(g1.n, 2, seed=38)[0], [(0, 2)])
+        (l2,) = self._shard_lists(g2, _draws(g2.n, 2, seed=39)[0], [(0, 2)])
+        with pytest.raises(ValueError, match="same node count"):
+            BatchedFlatStates.concat([l1, l2])
 
     def test_freeze_mode_freezes_concat_output(self, monkeypatch):
         g = gen.cycle(12, rng=42)
         ranks, betas = _draws(g.n, 4, seed=43)
-        shards = self._shard_forests(g, ranks, betas, [(0, 2), (2, 4)])
         monkeypatch.setenv("REPRO_FREEZE", "1")
-        merged = FRTForest.concat(shards)
+        merged = self._assemble(g, ranks, betas, [(0, 2), (2, 4)])
         for name in self.FOREST_ARRAYS:
             assert not getattr(merged, name).flags.writeable, name
         with pytest.raises(ValueError):
@@ -373,36 +371,33 @@ class TestPipelineForest:
     def test_batched_result_carries_forest(self):
         g = gen.random_graph(48, 130, rng=30)
         cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        res = Pipeline(g, cfg).sample_ensemble(k=6, seed=0, mode="batched")
+        res = Pipeline(g, cfg).sample_ensemble(k=6, seed=0)
         assert isinstance(res.forest, FRTForest)
         assert res.forest.size == 6
         ens = res.ensemble()
         assert ens.forest is res.forest
 
-    def test_serial_result_has_no_forest(self):
-        g = gen.random_graph(32, 90, rng=31)
-        cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        res = Pipeline(g, cfg).sample_ensemble(k=3, seed=0, mode="serial")
-        assert res.forest is None
-        assert res.ensemble().forest is None
-
     def test_batched_trees_match_serial_mode(self):
+        """Each ensemble tree equals the per-tree ``sample(rng=child)``."""
         g = gen.random_graph(48, 130, rng=32)
         cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        a = Pipeline(g, cfg).sample_ensemble(k=5, seed=7, mode="serial")
-        b = Pipeline(g, cfg).sample_ensemble(k=5, seed=7, mode="batched")
+        pipe = Pipeline(g, cfg)
+        b = pipe.sample_ensemble(k=5, seed=7)
+        a = [pipe.sample(rng=c) for c in spawn_rngs(split_seed(7, 2)[1], 5)]
         for ea, eb in zip(a, b):
             _assert_tree_identical(eb.tree, ea.tree)
         iu, ju = np.triu_indices(g.n, k=1)
         assert np.array_equal(
-            a.ensemble().distances(iu, ju), b.ensemble().distances(iu, ju)
+            np.stack([e.tree.distances(iu, ju) for e in a]),
+            b.ensemble().distances(iu, ju),
         )
 
     def test_oracle_pipeline_forest(self):
         g = gen.random_graph(32, 90, rng=33)
         cfg = PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4))
-        a = Pipeline(g, cfg).sample_ensemble(k=3, seed=1, mode="serial")
-        b = Pipeline(g, cfg).sample_ensemble(k=3, seed=1, mode="batched")
+        pipe = Pipeline(g, cfg)
+        b = pipe.sample_ensemble(k=3, seed=1)
+        a = [pipe.sample(rng=c) for c in spawn_rngs(split_seed(1, 2)[1], 3)]
         assert isinstance(b.forest, FRTForest)
         for ea, eb in zip(a, b):
             _assert_tree_identical(eb.tree, ea.tree)

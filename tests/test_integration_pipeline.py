@@ -8,12 +8,12 @@ asserting the composite guarantees (not just per-module contracts).
 import numpy as np
 import pytest
 
+from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
 from repro.apps.buyatbulk import CableType, Demand, buy_at_bulk
 from repro.apps.kmedian import kmedian, kmedian_cost
 from repro.congest import skeleton_frt
 from repro.frt import (
     decomposition_of,
-    sample_ensemble,
     sample_frt_tree,
     sample_frt_tree_via_oracle,
 )
@@ -93,7 +93,8 @@ def test_ensemble_drives_buyatbulk():
     g = gen.grid(5, 5, rng=40)
     demands = [Demand(0, 24, 7.0), Demand(4, 20, 3.0), Demand(2, 22, 5.0)]
     cables = [CableType(1.0, 1.0), CableType(10.0, 3.0)]
-    ens = sample_ensemble(g, 4, rng=41)
+    pipe = Pipeline(g, PipelineConfig(embedding=EmbeddingConfig(method="direct")))
+    ens = pipe.sample_ensemble(4, seed=41).ensemble()
     results = [
         buy_at_bulk(g, demands, cables, embedding=emb) for emb in ens.embeddings
     ]

@@ -52,9 +52,7 @@ def _pipeline(n=40, *, seed=11, graph_rng=3, wmax=8.0):
 
 
 def _result(n=40, k=5, *, seed=11, batch_seed=7, wmax=8.0):
-    return _pipeline(n, seed=seed, wmax=wmax).sample_ensemble(
-        k, seed=batch_seed, mode="batched"
-    )
+    return _pipeline(n, seed=seed, wmax=wmax).sample_ensemble(k, seed=batch_seed)
 
 
 def _assert_forest_identical(got, want):
@@ -119,7 +117,7 @@ def test_forest_round_trip_single_vertex(tmp_path):
     """n=1: the smallest legal forest (one leaf per sample) round-trips."""
     g = Graph(1, np.empty((0, 2), dtype=np.int64), np.empty(0))
     pipe = Pipeline(g, PipelineConfig(embedding=EmbeddingConfig(method="direct"), seed=0))
-    forest = pipe.sample_ensemble(3, seed=1, mode="batched").forest
+    forest = pipe.sample_ensemble(3, seed=1).forest
     path = tmp_path / "one.rpz"
     save_forest(path, forest)
     loaded = load_forest(path, mmap=True)
@@ -225,14 +223,6 @@ def test_from_artifacts_round_trip_is_read_only(tmp_path, monkeypatch):
     assert loaded.forest.distances(us, vs).shape == (3, us.size)
 
 
-def test_result_save_requires_batched_mode(tmp_path):
-    pipe = _pipeline(24)
-    serial = pipe.sample_ensemble(2, seed=3, mode="serial")
-    assert serial.forest is None
-    with pytest.raises(ValueError, match="batched"):
-        serial.save(tmp_path / "nope.rpz")
-
-
 def test_facade_save_and_from_artifacts(tmp_path):
     """Pipeline.save_artifacts is the one-call offline build step."""
     pipe = _pipeline(32)
@@ -242,11 +232,39 @@ def test_facade_save_and_from_artifacts(tmp_path):
     loaded = Pipeline.from_artifacts(path, mmap=True)
     assert loaded.size == 4
     assert loaded.fingerprint == meta["fingerprint"]
-    reference = _pipeline(32).sample_ensemble(4, seed=9, mode="batched")
+    reference = _pipeline(32).sample_ensemble(4, seed=9)
     us, vs = _query_pairs(32, seed=1)
     assert np.array_equal(
         reference.forest.distances(us, vs), loaded.forest.distances(us, vs)
     )
+
+
+def test_artifact_with_removed_mode_keys_loads(tmp_path):
+    """Artifacts written while ``ensemble_mode`` / ``ExecutionConfig.mode``
+    / ``shard_size`` existed carry them in their provenance; the loader
+    never rehydrates the config, so such files load and serve unchanged."""
+    from repro.serve import load_server
+
+    res = _result(24, 3)
+    path = tmp_path / "old.rpz"
+    res.save(path)
+
+    def add_old_keys(meta):
+        prov = meta["provenance"]
+        prov["config"]["embedding"]["ensemble_mode"] = "batched"
+        prov["config"]["execution"] = {"mode": "batched", "workers": 2, "shard_size": None}
+        prov["execution"] = dict(prov["config"]["execution"])
+        prov["mode"], prov["workers"] = "batched", 2
+
+    _rewrite_meta(path, add_old_keys)
+    for mmap in (False, True):
+        loaded = load_result(path, mmap=mmap)
+        assert loaded.meta["mode"] == "batched"
+        assert loaded.fingerprint == res.fingerprint
+        _assert_forest_identical(loaded.forest, res.forest)
+    us, vs = _query_pairs(24, seed=3)
+    server = load_server(path)
+    assert np.array_equal(server.forest.distances(us, vs), res.forest.distances(us, vs))
 
 
 # -- metric round trips --------------------------------------------------------

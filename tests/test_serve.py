@@ -21,7 +21,7 @@ from repro.serve import PAIR_KINDS, ForestServer, load_server, unique_pairs
 def forest():
     g = gen.random_graph(48, rng=3, wmin=1.0, wmax=8.0)
     cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"), seed=11)
-    return Pipeline(g, cfg).sample_ensemble(6, seed=7, mode="batched").forest
+    return Pipeline(g, cfg).sample_ensemble(6, seed=7).forest
 
 
 def _pairs(n, p, seed=0):
