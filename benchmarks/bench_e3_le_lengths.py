@@ -7,7 +7,7 @@ every iteration cheap.
 
 Measured: max and mean LE-list length across sizes and graph families,
 plus the full LE fixpoint computation time.  The LE-list driver is looked
-up by name through the :mod:`repro.api` backend registry (the production
+up by name through the :mod:`repro.api` engine registry (the production
 ``"dense"`` engine for the scaling sweep; the ``"reference"`` engine
 cross-checks it on a small instance).  Expected shape: max length grows
 like ``c·log n`` with small ``c`` (≈1-3), not polynomially; engines agree
@@ -17,24 +17,24 @@ exactly.
 import numpy as np
 import pytest
 
-from repro.api import as_rng, generators as gen, get_backend, max_list_length
+from repro.api import as_rng, generators as gen, get_engine, max_list_length
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
 def test_e3_le_length_scaling(benchmark, n):
     g = gen.random_graph(n, 3 * n, rng=20)
     rank = as_rng(21).permutation(n)
-    backend = get_backend("dense")
+    engine = get_engine("dense")
 
     def run():
-        return backend.le_lists(g, rank)
+        return engine.le_lists(g, rank)
 
     lists, iters = benchmark.pedantic(run, rounds=1, iterations=1)
     max_len = max_list_length(lists)
     mean_len = float(lists.counts().mean())
     benchmark.extra_info.update(
         n=n, m=g.m, max_len=max_len, mean_len=mean_len,
-        log2n=float(np.log2(n)), iterations=iters, backend=backend.name,
+        log2n=float(np.log2(n)), iterations=iters, backend=engine.name,
     )
     assert max_len <= 4 * np.log2(n)
     assert mean_len <= 2 * np.log(n)
@@ -50,9 +50,9 @@ def test_e3_families(benchmark, family):
     else:
         g = gen.random_regular(n, 4, rng=22)
     rank = as_rng(23).permutation(g.n)
-    backend = get_backend("dense")
+    engine = get_engine("dense")
     lists, _ = benchmark.pedantic(
-        lambda: backend.le_lists(g, rank), rounds=1, iterations=1
+        lambda: engine.le_lists(g, rank), rounds=1, iterations=1
     )
     max_len = max_list_length(lists)
     benchmark.extra_info.update(family=family, n=g.n, max_len=max_len)
@@ -66,8 +66,8 @@ def test_e3_backends_agree(benchmark):
     rank = as_rng(25).permutation(g.n)
 
     def run_both():
-        dense, _ = get_backend("dense").le_lists(g, rank)
-        ref, _ = get_backend("reference").le_lists(g, rank)
+        dense, _ = get_engine("dense").le_lists(g, rank)
+        ref, _ = get_engine("reference").le_lists(g, rank)
         return dense, ref
 
     dense, ref = benchmark.pedantic(run_both, rounds=1, iterations=1)

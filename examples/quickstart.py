@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.api import (
     as_rng,
-    available_backends,
+    available_engines,
     EmbeddingConfig,
     evaluate_stretch,
     generators,
@@ -35,7 +35,7 @@ def main() -> None:
     g = generators.cycle(n, wmin=1.0, wmax=3.0, rng=7)
     spd = shortest_path_diameter(g)
     print(f"graph: cycle  n={g.n}  m={g.m}  SPD={spd}")
-    print(f"registered MBF backends: {available_backends()}")
+    print(f"registered MBF engines: {available_engines()}")
 
     # -- the paper's oracle pipeline, one facade object -----------------------
     eps = 1.0 / np.log2(n) ** 2

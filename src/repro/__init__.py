@@ -6,14 +6,14 @@ The recommended entry point is the unified pipeline facade in
 and a :class:`~repro.api.configs.PipelineConfig`, then call ``sample()``,
 ``sample_ensemble(k)``, ``distance_oracle()`` or ``embed_metric()`` — stage
 artifacts (hop set, oracle) are built lazily, cached, and amortized across
-samples.  MBF engines are selected by name through the backend registry
-(:func:`~repro.api.registry.get_backend`); see ``API.md`` for the guide and
+samples.  MBF engines are selected by name through the engine registry
+(:func:`~repro.api.registry.get_engine`); see ``API.md`` for the guide and
 the legacy-call migration table.
 
 Top-level re-exports cover the most common entry points; see the
 subpackages for the full API:
 
-- :mod:`repro.api` — the pipeline facade, stage configs, backend registry,
+- :mod:`repro.api` — the pipeline facade, stage configs, engine registry,
 - :mod:`repro.algebra` — semirings and semimodules (Sections 2-3, App. A),
 - :mod:`repro.mbf` — the MBF-like algorithm framework and the algorithm zoo,
 - :mod:`repro.graph` — graphs, generators, distances, SPD,
@@ -38,10 +38,10 @@ from repro.api.configs import (
 )
 from repro.api.pipeline import Pipeline
 from repro.api.registry import (
-    MBFBackend,
-    available_backends,
-    get_backend,
-    register_backend,
+    MBFEngine,
+    available_engines,
+    get_engine,
+    register_engine,
 )
 from repro.api.result import DistanceOracle, PipelineResult
 from repro.graph.core import Graph
@@ -59,9 +59,9 @@ __all__ = [
     "EmbeddingConfig",
     "PipelineResult",
     "DistanceOracle",
-    "MBFBackend",
-    "register_backend",
-    "get_backend",
-    "available_backends",
+    "MBFEngine",
+    "register_engine",
+    "get_engine",
+    "available_engines",
     "__version__",
 ]

@@ -57,18 +57,13 @@ from repro.api.configs import (
 )
 from repro.api.pipeline import Pipeline
 from repro.api.registry import (
-    MBFBackend,
     MBFEngine,
-    available_backends,
     available_engines,
     engines_for,
-    get_backend,
     get_engine,
-    register_backend,
     register_engine,
     resolve_engine,
     solve,
-    unregister_backend,
     unregister_engine,
 )
 from repro.api.result import DistanceOracle, PipelineResult, SolveResult
@@ -119,12 +114,6 @@ __all__ = [
     "engines_for",
     "resolve_engine",
     "solve",
-    # deprecated LE-list backend shim
-    "MBFBackend",
-    "register_backend",
-    "unregister_backend",
-    "get_backend",
-    "available_backends",
     # re-exported building blocks
     "Graph",
     "generators",

@@ -131,13 +131,15 @@ class EmbeddingConfig(_ConfigBase):
         ``"direct"`` — LE lists on ``G`` itself (``SPD(G)`` iterations, the
         Khan-et-al. regime).
     backend:
-        Registry key of the MBF engine used for the ``"direct"`` LE-list
-        computation (see :mod:`repro.api.registry`); existence is checked
-        lazily at first use so third-party backends can register late.
-        :meth:`~repro.api.pipeline.Pipeline.sample_ensemble` needs a
-        backend with a batched LE-list driver (``"dense"``,
-        ``"dense-batched"``); :meth:`~repro.api.pipeline.Pipeline.sample`
-        runs on any backend.
+        Name of the registered :class:`~repro.api.registry.MBFEngine` whose
+        LE-list drivers run the ``"direct"`` computation (resolved with
+        :func:`~repro.api.registry.get_engine`).  Existence is checked
+        lazily at first use so third-party engines can register late.
+        :meth:`~repro.api.pipeline.Pipeline.sample` needs the engine's
+        ``le_lists`` driver and
+        :meth:`~repro.api.pipeline.Pipeline.sample_ensemble` its
+        ``le_lists_batch`` driver (``"dense"`` has both; ``"reference"``
+        only the first).
     """
 
     method: str = "oracle"

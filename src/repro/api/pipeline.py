@@ -21,13 +21,14 @@ scheduling (in-process or over a process pool).
 
 from __future__ import annotations
 
+import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from repro.api.configs import ExecutionConfig, PipelineConfig
-from repro.api.registry import get_backend, invoke_solve, resolve_engine
+from repro.api.registry import MBFEngine, get_engine, invoke_solve, resolve_engine
 from repro.api.result import DistanceOracle, PipelineResult, SolveResult
 from repro.frt.embedding import EmbeddingResult, _draw_randomness
 from repro.frt.forest import build_frt_forest
@@ -178,24 +179,29 @@ class Pipeline:
         ``rng`` defaults to the pipeline's own generator; explicit ``rank``
         / ``beta`` values are used verbatim and do *not* consume random
         state.  The first ``"oracle"``-method call builds (and caches) the
-        hop set and oracle.  This per-tree path runs on every backend
-        (``"reference"`` included) and is the reference that each tree of
-        :meth:`sample_ensemble` equals bit for bit.
+        hop set and oracle.  This per-tree path runs on every engine with
+        an ``le_lists`` driver (``"reference"`` included) and is the
+        reference that each tree of :meth:`sample_ensemble` equals bit for
+        bit.
+
+        Raises ``KeyError`` for an unregistered ``backend`` name and
+        ``ValueError`` for an engine without an ``le_lists`` driver, both
+        before any random state is consumed.
         """
         g = self._rng if rng is None else as_rng(rng)
-        # Both branches start the clock only after their artifact/backend
+        # Both branches start the clock only after their artifact/engine
         # resolution, so ``timings["samples"]`` measures exactly the
         # sampling work.
         if self.config.embedding.method == "oracle":
-            oracle, backend = self.oracle(), None
+            oracle, engine = self.oracle(), None
             t0 = time.perf_counter()
             r, b = _draw_randomness(self.G.n, g, rank=rank, beta=beta)
             lists, iters = compute_le_lists_via_oracle(oracle, r, ledger=ledger)
         else:
-            oracle, backend = None, get_backend(self.config.embedding.backend)
+            oracle, engine = None, self._le_engine(batched=False)
             t0 = time.perf_counter()
             r, b = _draw_randomness(self.G.n, g, rank=rank, beta=beta)
-            lists, iters = backend.le_lists(self.G, r, ledger=ledger)
+            lists, iters = engine.le_lists(self.G, r, ledger=ledger)
         wmin, _ = self.G.weight_bounds()
         tree = build_frt_tree(lists, r, b, wmin)
         self.stats["samples"] += 1
@@ -208,7 +214,7 @@ class Pipeline:
             beta=b,
             le_lists=lists,
             iterations=iters,
-            meta=self._sample_meta(oracle, backend),
+            meta=self._sample_meta(oracle, engine),
         )
 
     def sample_ensemble(
@@ -241,12 +247,14 @@ class Pipeline:
             Per-call :class:`~repro.api.configs.ExecutionConfig` override;
             ``None`` uses ``config.execution``.  ``workers > 1`` runs
             contiguous slices of the samples in a process pool.  The
-            configured backend is shipped to the workers by value, so its
-            driver must be picklable (a module-level function, not a
-            lambda) under spawn/forkserver start methods.
+            configured engine's ``le_lists_batch`` driver is shipped to
+            the workers by value, so it must be picklable (a module-level
+            function, not a lambda) under spawn/forkserver start methods.
 
-        Raises ``ValueError`` on a backend without a batched LE-list
-        driver (``"reference"``); :meth:`sample` runs on any backend.
+        Raises ``KeyError`` for an unregistered ``backend`` name and
+        ``ValueError`` for an engine without a batched LE-list driver
+        (``"reference"``; :meth:`sample` runs on it), both before any
+        random state is consumed.
         """
         if k < 1:
             raise ValueError("ensemble size k must be >= 1")
@@ -255,16 +263,9 @@ class Pipeline:
             raise TypeError(
                 f"execution must be an ExecutionConfig, got {type(exec_cfg)!r}"
             )
-        oracle = backend = None
+        oracle = engine = None
         if self.config.embedding.method == "direct":
-            backend = get_backend(self.config.embedding.backend)
-            if backend.le_lists_batch is None:
-                raise ValueError(
-                    f"backend {backend.name!r} has no batched LE-list driver, "
-                    "so sample_ensemble cannot run on it; call "
-                    "Pipeline.sample() once per tree, or use a batch-capable "
-                    "backend (e.g. 'dense', 'dense-batched')"
-                )
+            engine = self._le_engine(batched=True)
         t_total = time.perf_counter()
         timings_before = dict(self.timings)
         if seed is not None:
@@ -290,13 +291,14 @@ class Pipeline:
         t0 = time.perf_counter()
         size = -(-k // exec_cfg.workers)
         parts = [children[lo : lo + size] for lo in range(0, k, size)]
+        le_lists_batch = None if engine is None else engine.le_lists_batch
         if len(parts) == 1:  # one slice runs in-process: a pool would only add cost
-            slices = [_sample_slice(self.G, oracle, backend, children)]
+            slices = [_sample_slice(self.G, oracle, le_lists_batch, children)]
         else:
             with ProcessPoolExecutor(
                 max_workers=len(parts),
                 initializer=_init_slice_worker,
-                initargs=(self.G, oracle, backend),
+                initargs=(self.G, oracle, le_lists_batch),
             ) as pool:
                 slices = list(pool.map(_slice_worker, parts))
         list_parts, iter_parts, ledger_parts, rank_parts, beta_parts = zip(*slices)
@@ -307,7 +309,7 @@ class Pipeline:
         ledgers = [led for part in ledger_parts for led in part]
         wmin, _ = self.G.weight_bounds()
         forest = build_frt_forest(lists, ranks, betas, wmin)
-        meta = self._sample_meta(oracle, backend)
+        meta = self._sample_meta(oracle, engine)
         embeddings = [
             EmbeddingResult(
                 tree=forest.tree(s),
@@ -342,10 +344,27 @@ class Pipeline:
             meta=self._provenance(k=k, seed=seed, execution=exec_cfg.to_dict()),
         )
 
-    def _sample_meta(self, oracle: HOracle | None, backend) -> dict:
+    def _le_engine(self, *, batched: bool) -> MBFEngine:
+        """The configured engine, checked for the LE-list driver a sampler needs."""
+        engine = get_engine(self.config.embedding.backend)
+        if engine.le_lists is None:
+            raise ValueError(
+                f"engine {engine.name!r} has no LE-list driver (le_lists), so "
+                "it cannot sample trees; use an engine with one (e.g. 'dense')"
+            )
+        if batched and engine.le_lists_batch is None:
+            raise ValueError(
+                f"engine {engine.name!r} has no batched LE-list driver "
+                "(le_lists_batch), so sample_ensemble cannot run on it; call "
+                "Pipeline.sample() once per tree, or use a batch-capable "
+                "engine (e.g. 'dense')"
+            )
+        return engine
+
+    def _sample_meta(self, oracle: HOracle | None, engine: MBFEngine | None) -> dict:
         """The per-tree ``EmbeddingResult.meta`` of the configured method."""
         if oracle is None:
-            return {"pipeline": "direct", "backend": backend.name}
+            return {"pipeline": "direct", "backend": engine.name}
         return {
             "pipeline": "oracle",
             "hop_d": oracle.d,
@@ -531,15 +550,20 @@ class Pipeline:
     def _provenance(self, **extra) -> dict:
         from repro.io.artifacts import content_fingerprint
 
-        # The stable content identity: configs + seeds only.  Run-specific
-        # noise (stats, timings) and the ExecutionConfig, which provably
-        # does not change the result, are excluded, so equal-content runs
-        # share cache keys and artifact filenames.
+        # The stable content identity: the graph's canonical edge set,
+        # configs and seeds.  Run-specific noise (stats, timings) and the
+        # ExecutionConfig, which provably does not change the result, are
+        # excluded, so equal-content runs share cache keys and artifact
+        # filenames.
         content_config = self.config.to_dict()
         content_config.pop("execution", None)
+        graph_digest = hashlib.sha256()
+        for arr in self.G.canonical_edges():
+            graph_digest.update(arr.tobytes())
         fingerprint = content_fingerprint(
             {
                 "config": content_config,
+                "graph": graph_digest.hexdigest(),
                 "n": self.G.n,
                 "m": self.G.m,
                 "method": self.config.embedding.method,
@@ -583,10 +607,10 @@ class Pipeline:
 _WORKER_ARGS: tuple | None = None
 
 
-def _init_slice_worker(G, oracle, backend) -> None:
+def _init_slice_worker(G, oracle, le_lists_batch) -> None:
     """Pool initializer: keep the shared sampling inputs once per worker."""
     global _WORKER_ARGS
-    _WORKER_ARGS = (G, oracle, backend)
+    _WORKER_ARGS = (G, oracle, le_lists_batch)
 
 
 def _slice_worker(children: list[np.random.Generator]) -> tuple:
@@ -598,14 +622,15 @@ def _slice_worker(children: list[np.random.Generator]) -> tuple:
 def _sample_slice(
     G: Graph,
     oracle: HOracle | None,
-    backend,
+    le_lists_batch,
     children: list[np.random.Generator],
 ) -> tuple:
     """Draws and LE lists of a contiguous run of samples.
 
     Each child generator draws its sample's ``(rank, beta)``, and the
     batched LE-list driver runs on that one ``(1, n)`` rank matrix: the
-    oracle's when ``oracle`` is given, else ``backend``'s.  Returns the
+    oracle's when ``oracle`` is given, else the engine's
+    ``le_lists_batch``.  Returns the
     picklable ``(lists, iterations, ledgers, ranks, betas)`` of the slice,
     with the lists stacked in sample order.
     """
@@ -618,9 +643,7 @@ def _sample_slice(
                 oracle, rank[None, :], ledgers=[ledger]
             )
         else:
-            sample_lists, iters = backend.le_lists_batch(
-                G, rank[None, :], ledgers=[ledger]
-            )
+            sample_lists, iters = le_lists_batch(G, rank[None, :], ledgers=[ledger])
         lists.append(sample_lists)
         iterations.append(np.asarray(iters, dtype=np.int64))
         ledgers.append(ledger)

@@ -225,15 +225,20 @@ class Graph:
             return NotImplemented
         if self.n != other.n or self.m != other.m:
             return False
-
-        def canon(g: Graph):
-            lo = np.minimum(g.edges[:, 0], g.edges[:, 1])
-            hi = np.maximum(g.edges[:, 0], g.edges[:, 1])
-            order = np.lexsort((hi, lo))
-            return lo[order], hi[order], g.weights[order]
-
-        a, b = canon(self), canon(other)
+        a, b = self.canonical_edges(), other.canonical_edges()
         return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def canonical_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, weights)`` of every edge, sorted by ``(lo, hi)``.
+
+        One representation per edge set, whatever the edge-list order or
+        endpoint orientation: graph equality and content fingerprints
+        compare these arrays.
+        """
+        lo = np.minimum(self.edges[:, 0], self.edges[:, 1])
+        hi = np.maximum(self.edges[:, 0], self.edges[:, 1])
+        order = np.lexsort((hi, lo))
+        return lo[order], hi[order], self.weights[order]
 
     def __hash__(self):  # Graphs are mutable-ish containers; identity hash.
         return id(self)

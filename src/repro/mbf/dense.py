@@ -410,6 +410,8 @@ class BatchedFlatStates:
         """Per-sample exact equality, ``(k,)`` bool."""
         if self.k != other.k or self.n != other.n:
             raise ValueError("batch shape mismatch")
+        if self.k == 1:  # offsets start at 0, so equal offsets = equal counts
+            return np.array([self.equals(other)])
         k, n = self.k, self.n
         eq = (
             (self.counts().reshape(k, n) == other.counts().reshape(k, n))
@@ -758,7 +760,7 @@ def run_dense(
     if type(spec) is LEFilter:
         # Route the serial LE path through the batched incremental kernel
         # (k = 1): bit-identical lists, iteration counts, and ledger
-        # charges (pinned by the dense-batched parity tests), ~2x faster.
+        # charges (pinned by the tests in test_dense_batched), ~2x faster.
         # Exact-type check: an LEFilter subclass with overridden behavior
         # must keep its own sort_keys/keep_mask and take the generic path.
         spec = BatchedLEFilter(spec.rank[None, :])

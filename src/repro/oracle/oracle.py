@@ -34,9 +34,12 @@ from repro.mbf.dense import (
     BatchedFlatStates,
     FilterSpec,
     FlatStates,
-    aggregate,
+    _as_batch,
+    _as_ledgers,
     aggregate_batched,
-    dense_iteration,
+    # Unused here, but perfbench/spans.py patches ``oracle.dense_iteration``
+    # through this module's ``__dict__``, so the binding must stay.
+    dense_iteration,  # noqa: F401
     dense_iteration_batched,
     dense_iteration_batched_ex,
     run_batched_fixpoint,
@@ -95,7 +98,9 @@ class HOracle:
         self.penalty_base = base
         self.masks = level_masks(levels, Lambda)
         self.inner_early_exit = bool(inner_early_exit)
-        # Per-H-iteration statistics for the cost experiments.
+        # Inner d-chain iterations per H-iteration call (summed over levels
+        # and, for batched calls, samples).  Recorded in the calling process
+        # only: oracles shipped to pool workers update their own copies.
         self.inner_iterations_used: list[int] = []
 
     @property
@@ -111,44 +116,13 @@ class HOracle:
         *,
         ledger: CostLedger = NULL_LEDGER,
     ) -> FlatStates:
-        """One iteration of ``A_H`` with filtering (Equation 5.9)."""
-        parts_tgt: list[np.ndarray] = []
-        parts_ids: list[np.ndarray] = []
-        parts_dists: list[np.ndarray] = []
-        inner_used = 0
-        children: list[CostLedger] = []
-        for lam in range(self.Lambda + 1):
-            child = ledger.fork()
-            scale = self.penalty_base ** (self.Lambda - lam)
-            y = states.restrict(self.masks[lam])
-            child.parallel_for(states.total, 1, 1, label=f"P_{lam}")
-            for f in range(self.d):
-                nxt = dense_iteration(
-                    self.graph, y, spec, weight_scale=scale, ledger=child
-                )
-                inner_used += 1
-                if self.inner_early_exit and nxt.equals(y):
-                    y = nxt
-                    break
-                y = nxt
-            y = y.restrict(self.masks[lam])
-            child.parallel_for(y.total, 1, 1, label=f"P_{lam}'")
-            owner = np.repeat(np.arange(self.n, dtype=np.int64), y.counts())
-            parts_tgt.append(owner)
-            parts_ids.append(y.ids)
-            parts_dists.append(y.dists)
-            children.append(child)
-        # The Λ+1 chains run in parallel in the paper's model.
-        ledger.join(*children, label="levels")
-        self.inner_iterations_used.append(inner_used)
-        return aggregate(
-            self.n,
-            np.concatenate(parts_tgt),
-            np.concatenate(parts_ids),
-            np.concatenate(parts_dists),
-            spec,
-            ledger=ledger,
-        )
+        """One iteration of ``A_H`` with filtering (Equation 5.9).
+
+        The ``k = 1`` view of :meth:`h_iteration_batched`.
+        """
+        return self.h_iteration_batched(
+            _as_batch(states), spec, ledgers=_as_ledgers(ledger)
+        ).as_flat()
 
     def h_iteration_batched(
         self,
@@ -163,9 +137,9 @@ class HOracle:
         with ``inner_early_exit`` samples whose chain reached its fixpoint
         are masked out of the remaining inner iterations individually (the
         lossless per-sample analogue of the serial early exit).  Per-sample
-        ledgers receive charges identical to ``k`` serial
-        :meth:`h_iteration` calls; the batch does not update
-        :attr:`inner_iterations_used` (a per-serial-run statistic).
+        ledgers receive charges identical to ``k`` single-sample calls.
+        Appends the inner iterations run, summed over levels and samples,
+        to :attr:`inner_iterations_used`.
         """
         k, n = states.k, states.n
         ledger_list = (
@@ -177,10 +151,13 @@ class HOracle:
         parts_ids: list[np.ndarray] = []
         parts_dists: list[np.ndarray] = []
         children: list[list[CostLedger]] = [[] for _ in range(k)]
+        inner_used = 0
         for lam in range(self.Lambda + 1):
             level_children = [led.fork() for led in ledger_list]
             for s in range(k):
                 children[s].append(level_children[s])
+            # Without ledgers the kernels skip their per-sample charging.
+            kernel_ledgers = None if ledgers is None else level_children
             scale = self.penalty_base ** (self.Lambda - lam)
             y = states.restrict(self.masks[lam])
             for child, t in zip(level_children, states.sample_totals()):
@@ -189,24 +166,27 @@ class HOracle:
                 # Per-sample analogue of the serial ``y = nxt; break``:
                 # converged chains freeze on the post-step state; chains
                 # that never converge keep their state after ``d`` steps.
-                y, _ = run_batched_fixpoint(
+                y, iters = run_batched_fixpoint(
                     lambda s, sp, led: dense_iteration_batched_ex(
                         self.graph, s, sp, weight_scale=scale, ledgers=led
                     ),
                     y,
                     spec,
-                    level_children,
+                    kernel_ledgers,
                     self.d,
                     freeze_next=True,
                 )
+                # A chain that converged at step i ran i + 1 iterations.
+                inner_used += int(np.minimum(iters + 1, self.d).sum())
             else:
+                inner_used += k * self.d
                 for _ in range(self.d):
                     y = dense_iteration_batched(
                         self.graph,
                         y,
                         spec,
                         weight_scale=scale,
-                        ledgers=level_children,
+                        ledgers=kernel_ledgers,
                     )
             y = y.restrict(self.masks[lam])
             for child, t in zip(level_children, y.sample_totals()):
@@ -215,8 +195,10 @@ class HOracle:
             parts_tgt.append(owner)
             parts_ids.append(y.ids)
             parts_dists.append(y.dists)
+        # The Λ+1 chains run in parallel in the paper's model.
         for led, ch in zip(ledger_list, children):
             led.join(*ch, label="levels")
+        self.inner_iterations_used.append(inner_used)
         return aggregate_batched(
             k,
             n,
@@ -224,7 +206,7 @@ class HOracle:
             np.concatenate(parts_ids),
             np.concatenate(parts_dists),
             spec,
-            ledgers=ledger_list,
+            ledgers=None if ledgers is None else ledger_list,
         )
 
     # -- full queries ----------------------------------------------------------
@@ -245,30 +227,18 @@ class HOracle:
         iterations, i.e. ``O(log² n)`` w.h.p. (Theorem 4.5) — performing at
         most ``max_iterations`` H-iterations (default ``n + 1``), the same
         cap semantics as :func:`repro.mbf.engine.run_to_fixpoint`.  Returns
-        ``(states, iterations)``.
+        ``(states, iterations)``.  The ``k = 1`` view of :meth:`run_batch`.
         """
-        states = x0 if x0 is not None else FlatStates.from_sources(self.n, sources)
-        states = aggregate(
-            self.n,
-            np.repeat(np.arange(self.n, dtype=np.int64), states.counts()),
-            states.ids,
-            states.dists,
+        states, iters = self.run_batch(
             spec,
-            ledger=ledger,
+            1,
+            sources=sources,
+            x0=None if x0 is None else _as_batch(x0),
+            h=h,
+            max_iterations=max_iterations,
+            ledgers=_as_ledgers(ledger),
         )
-        if h is not None:
-            for _ in range(h):
-                states = self.h_iteration(states, spec, ledger=ledger)
-            return states, h
-        cap = (self.n + 1) if max_iterations is None else max_iterations
-        if cap < 1:
-            raise ValueError("max_iterations must be >= 1")
-        for i in range(cap):
-            nxt = self.h_iteration(states, spec, ledger=ledger)
-            if nxt.equals(states):
-                return states, i
-            states = nxt
-        raise RuntimeError(f"H-iteration did not reach a fixpoint within {cap} steps")
+        return states.as_flat(), int(iters[0])
 
     def run_batch(
         self,
@@ -285,8 +255,8 @@ class HOracle:
 
         Fixpoints are detected per sample and converged samples are masked
         out of subsequent H-iterations, so each sample's result, iteration
-        count, and (optional per-sample) ledger charges are bit-identical
-        to a serial :meth:`run` with the same filter.  Returns
+        count, and (optional per-sample) ledger charges equal a
+        single-sample :meth:`run` with that sample's filter.  Returns
         ``(states, iterations)`` with one count per sample.
         """
         n = self.n

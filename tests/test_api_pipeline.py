@@ -440,9 +440,11 @@ class TestBatchedEnsemble:
             _assert_same_embedding(x, y)
 
     def test_dense_batched_backend_end_to_end(self):
+        """The dense engine's batched driver, named explicitly, equals the
+        per-tree loop of the default config."""
         g = gen.cycle(14, rng=10)
         cfg = PipelineConfig(
-            embedding=EmbeddingConfig(method="direct", backend="dense-batched")
+            embedding=EmbeddingConfig(method="direct", backend="dense")
         )
         batched = Pipeline(g, cfg).sample_ensemble(k=3, seed=5)
         dense_cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
@@ -483,12 +485,64 @@ class TestBatchedEnsemble:
         cfg = PipelineConfig(
             embedding=EmbeddingConfig(method="direct", backend="reference")
         )
-        pipe = Pipeline(g, cfg, rng=0)
+        rng = np.random.default_rng(0)
+        pipe = Pipeline(g, cfg, rng=rng)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match="batched LE-list driver") as err:
             pipe.sample_ensemble(k=2)
+        assert "'reference'" in str(err.value)
+        assert "le_lists_batch" in str(err.value)
         assert "Pipeline.sample()" in str(err.value)
+        assert str(err.value).endswith("(e.g. 'dense')")
+        assert rng.bit_generator.state == state
         assert pipe.stats["samples"] == 0
         pipe.sample()  # the per-tree path still runs on this backend
+
+    def test_solve_only_engine_rejected(self):
+        """An engine without an LE-list driver cannot sample: both
+        samplers raise ValueError naming the engine and the driver, before
+        any random state is consumed."""
+        from repro.api import MBFEngine, register_engine, unregister_engine
+
+        register_engine(
+            MBFEngine(
+                name="test-solve-only",
+                solve=lambda *a, **k: ("x", 0),
+                families=("all-paths",),
+            )
+        )
+        try:
+            cfg = PipelineConfig(
+                embedding=EmbeddingConfig(method="direct", backend="test-solve-only")
+            )
+            rng = np.random.default_rng(0)
+            pipe = Pipeline(gen.cycle(8, rng=12), cfg, rng=rng)
+            state = rng.bit_generator.state
+            for call in (pipe.sample, lambda: pipe.sample_ensemble(k=2)):
+                with pytest.raises(ValueError, match="'test-solve-only'") as err:
+                    call()
+                assert "le_lists" in str(err.value)
+            assert rng.bit_generator.state == state
+            assert pipe.stats["samples"] == 0
+        finally:
+            unregister_engine("test-solve-only")
+
+    def test_unknown_engine_lists_available(self):
+        """An unregistered name raises KeyError listing the registered
+        engines, before any random state is consumed."""
+        from repro.api import available_engines
+
+        cfg = PipelineConfig(
+            embedding=EmbeddingConfig(method="direct", backend="missing")
+        )
+        rng = np.random.default_rng(0)
+        pipe = Pipeline(gen.cycle(8, rng=12), cfg, rng=rng)
+        state = rng.bit_generator.state
+        for call in (pipe.sample, lambda: pipe.sample_ensemble(k=2)):
+            with pytest.raises(KeyError, match="'missing'") as err:
+                call()
+            assert str(available_engines()) in str(err.value)
+        assert rng.bit_generator.state == state
 
     def test_batch_seed_does_not_shift_pipeline_stream(self):
         g = gen.cycle(16, rng=5)

@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    MBFBackend,
     MBFEngine,
     MBFProblem,
-    available_backends,
     available_engines,
     engines_for,
     generators as gen,
-    get_backend,
     get_engine,
     problems,
-    register_backend,
     register_engine,
     resolve_engine,
     solve,
-    unregister_backend,
     unregister_engine,
 )
 from repro.mbf.dense import FlatStates
@@ -26,64 +21,64 @@ from repro.mbf.dense import FlatStates
 
 class TestLookup:
     def test_builtins_registered(self):
-        names = available_backends()
-        assert "dense" in names
-        assert "reference" in names
+        names = available_engines()
+        assert {"dense", "reference"} <= set(names)
         assert names == tuple(sorted(names))
-
-    def test_get_backend(self):
-        b = get_backend("dense")
-        assert b.name == "dense"
-        assert b.module == "repro.mbf.dense"
-        assert callable(b.le_lists)
 
     def test_unknown_key_raises_with_available_set(self):
         with pytest.raises(KeyError, match="dense"):
-            get_backend("nope")
+            get_engine("nope")
 
     def test_unregister_unknown_raises(self):
         with pytest.raises(KeyError):
-            unregister_backend("nope")
+            unregister_engine("nope")
+
+
+def _le_only(name, iters=0):
+    """An LE-list-only engine: the shape third-party LE drivers register as."""
+    return MBFEngine(name=name, le_lists=lambda G, r, **kw: (None, iters))
 
 
 class TestRegistration:
     def test_register_and_unregister(self):
-        backend = MBFBackend(name="test-third-party", le_lists=lambda G, r, **kw: (None, 0))
+        engine = _le_only("test-third-party")
         try:
-            register_backend(backend)
-            assert get_backend("test-third-party") is backend
-            assert "test-third-party" in available_backends()
+            register_engine(engine)
+            assert get_engine("test-third-party") is engine
+            assert "test-third-party" in available_engines()
         finally:
-            unregister_backend("test-third-party")
-        assert "test-third-party" not in available_backends()
+            unregister_engine("test-third-party")
+        assert "test-third-party" not in available_engines()
 
     def test_duplicate_requires_overwrite(self):
-        backend = MBFBackend(name="test-dup", le_lists=lambda G, r, **kw: (None, 0))
+        engine = _le_only("test-dup")
         try:
-            register_backend(backend)
+            register_engine(engine)
             with pytest.raises(ValueError, match="already registered"):
-                register_backend(backend)
-            replacement = MBFBackend(name="test-dup", le_lists=lambda G, r, **kw: (None, 1))
-            register_backend(replacement, overwrite=True)
-            assert get_backend("test-dup") is replacement
+                register_engine(engine)
+            replacement = _le_only("test-dup", iters=1)
+            register_engine(replacement, overwrite=True)
+            assert get_engine("test-dup") is replacement
         finally:
-            unregister_backend("test-dup")
+            unregister_engine("test-dup")
 
     def test_backend_validation(self):
+        """LE-only engines (what ``EmbeddingConfig.backend`` names) are
+        validated like any other engine."""
         with pytest.raises(ValueError):
-            MBFBackend(name="", le_lists=lambda G, r: (None, 0))
+            MBFEngine(name="", le_lists=lambda G, r: (None, 0))
         with pytest.raises(TypeError):
-            MBFBackend(name="x", le_lists="not-callable")
+            MBFEngine(name="x", le_lists="not-callable")
         with pytest.raises(TypeError):
-            register_backend("dense")
+            register_engine("dense")
 
 
 class TestBackendEquivalence:
     def test_dense_and_reference_agree(self):
         g = gen.random_graph(14, 30, rng=0)
         rank = np.random.default_rng(1).permutation(g.n)
-        dense, it_d = get_backend("dense").le_lists(g, rank)
-        ref, it_r = get_backend("reference").le_lists(g, rank)
+        dense, it_d = get_engine("dense").le_lists(g, rank)
+        ref, it_r = get_engine("reference").le_lists(g, rank)
         assert isinstance(ref, FlatStates)
         assert dense.to_dicts() == pytest.approx(ref.to_dicts())
         assert it_d == it_r
@@ -91,8 +86,8 @@ class TestBackendEquivalence:
     def test_fixed_iteration_count(self):
         g = gen.cycle(10, rng=2)
         rank = np.random.default_rng(3).permutation(g.n)
-        dense, it_d = get_backend("dense").le_lists(g, rank, h=2)
-        ref, it_r = get_backend("reference").le_lists(g, rank, h=2)
+        dense, it_d = get_engine("dense").le_lists(g, rank, h=2)
+        ref, it_r = get_engine("reference").le_lists(g, rank, h=2)
         assert it_d == it_r == 2
         assert dense.to_dicts() == pytest.approx(ref.to_dicts())
 
@@ -101,12 +96,12 @@ class TestBackendEquivalence:
         bad = np.zeros(6, dtype=np.int64)
         for name in ("dense", "reference"):
             with pytest.raises(ValueError):
-                get_backend(name).le_lists(g, bad)
+                get_engine(name).le_lists(g, bad)
 
 
 class TestEngineRegistry:
     def test_builtin_engines_and_capabilities(self):
-        assert set(available_engines()) >= {"dense", "dense-batched", "reference"}
+        assert set(available_engines()) >= {"dense", "reference"}
         dense = get_engine("dense")
         ref = get_engine("reference")
         assert "distance-map" in dense.families and "min-plus" in dense.families
@@ -156,50 +151,13 @@ class TestEngineRegistry:
             assert out == "custom" and calls == ["k-SDP(k=1, s=0)"]
             # ...but auto still prefers the built-in preference order.
             assert resolve_engine(problems.k_sdp(4, 1, sink=0)).name == "reference"
-            # Engines without LE drivers are not backends.
-            assert "test-custom" not in available_backends()
-            with pytest.raises(KeyError, match="unknown MBF backend"):
-                get_backend("test-custom")
+            # A solve-only engine carries no LE-list drivers.
+            assert get_engine("test-custom").le_lists is None
         finally:
             unregister_engine("test-custom")
         assert "test-custom" not in available_engines()
         with pytest.raises(KeyError):
             unregister_engine("test-custom")
-
-    def test_solve_only_engine_name_not_free_for_backends(self):
-        """A natively registered solve-only engine is another plugin's
-        slot: register_backend must not silently graft onto it."""
-        register_engine(
-            MBFEngine(
-                name="test-solve-only",
-                solve=lambda *a, **k: ("x", 0),
-                families=("all-paths",),
-                description="plugin A engine",
-            )
-        )
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend(
-                    MBFBackend(name="test-solve-only", le_lists=lambda *a, **k: (None, 0))
-                )
-            assert get_engine("test-solve-only").description == "plugin A engine"
-        finally:
-            unregister_engine("test-solve-only")
-
-    def test_backend_overwrite_takes_both_le_drivers_verbatim(self):
-        """Overwriting takes the backend's LE drivers exactly as given —
-        inheriting the old batched driver next to a new serial one would
-        silently pair two different engines in serial vs batched mode;
-        a missing batched driver must instead fail loudly there."""
-        orig = get_backend("dense")
-        try:
-            register_backend(MBFBackend(name="dense", le_lists=orig.le_lists), overwrite=True)
-            assert get_engine("dense").le_lists_batch is None
-            assert get_backend("dense").le_lists_batch is None
-        finally:
-            register_backend(orig, overwrite=True)
-        assert get_backend("dense") is orig
-        assert get_engine("dense").le_lists_batch is orig.le_lists_batch
 
     def test_minimal_solve_signature_cap_error(self):
         """A driver with the minimal documented signature works without a
@@ -232,108 +190,22 @@ class TestEngineRegistry:
         with pytest.raises(ValueError, match="dense form"):
             resolve_engine(stripped, "dense")
 
-    def test_backend_overwrite_keeps_solve_capability(self):
-        """A legacy register_backend(..., overwrite=True) round-trip on a
-        built-in name swaps the LE drivers but must not strip the engine's
-        solve capability."""
-        orig = get_backend("dense")
-        calls = []
-
-        def wrapped(G, rank, **kw):
-            calls.append(1)
-            return orig.le_lists(G, rank, **kw)
-
-        g = gen.path_graph(5)
-        try:
-            register_backend(
-                MBFBackend(name="dense", le_lists=wrapped), overwrite=True
-            )
-            lists, _ = get_backend("dense").le_lists(g, np.arange(5))
-            assert calls  # the instrumented driver is live...
-            out, _ = solve(g, problems.sssp(5, 0), engine="dense")
-            assert np.array_equal(out, [0.0, 1.0, 2.0, 3.0, 4.0])  # ...solve intact
-            # the engine's provenance fields survive a blank-field backend
-            assert get_engine("dense").module == "repro.mbf.dense"
-            assert get_engine("dense").description
-        finally:
-            register_backend(orig, overwrite=True)
-        assert get_backend("dense").le_lists is orig.le_lists
-        assert get_engine("dense").solve is not None
-
-    def test_unregister_backend_keeps_solve_engine(self):
-        """unregister_backend removes the LE view; a solve driver on the
-        same record survives (LE-only engines are removed entirely)."""
-
-        def my_solve(G, problem, *, h=None, ledger=None, **kw):
-            return "x", 0
-
-        register_engine(
-            MBFEngine(
-                name="test-both",
-                solve=my_solve,
-                families=("all-paths",),
-                le_lists=lambda G, r, **kw: (None, 0),
-            )
-        )
-        try:
-            assert "test-both" in available_backends()
-            unregister_backend("test-both")
-            assert "test-both" not in available_backends()
-            assert "test-both" in available_engines()  # solve survives
-            with pytest.raises(KeyError, match="unknown MBF backend"):
-                get_backend("test-both")
-            assert get_engine("test-both").solve is my_solve
-            # The freed name accepts a fresh backend registration (no
-            # overwrite needed — the legacy unregister/register round-trip)
-            # and the solve capability merges back in.
-            fresh = MBFBackend(name="test-both", le_lists=lambda G, r, **kw: (None, 1))
-            register_backend(fresh)
-            assert get_backend("test-both") is fresh
-            assert get_engine("test-both").solve is my_solve
-        finally:
-            unregister_engine("test-both")
-
-    def test_backend_shim_projects_engine_record(self):
-        """get_backend is a deprecated, identity-stable view over engines."""
-        dense = get_engine("dense")
-        view = get_backend("dense")
-        assert view.le_lists is dense.le_lists
-        assert view.le_lists_batch is dense.le_lists_batch
-        assert view.description == dense.description
-        assert get_backend("dense") is view  # cached: stable identity
-
 
 class TestBatchedDrivers:
-    def test_dense_batched_registered(self):
-        b = get_backend("dense-batched")
-        assert b.module == "repro.mbf.dense"
-        assert callable(b.le_lists) and callable(b.le_lists_batch)
-        assert get_backend("dense").le_lists_batch is b.le_lists_batch
-
     def test_reference_has_no_batch_driver(self):
-        assert get_backend("reference").le_lists_batch is None
+        assert get_engine("reference").le_lists_batch is None
 
     def test_le_lists_batch_validated(self):
         with pytest.raises(TypeError, match="le_lists_batch"):
-            MBFBackend(name="x", le_lists=lambda *a, **k: None, le_lists_batch=42)
-
-    def test_dense_batched_single_sample_parity(self):
-        """dense-batched's scalar driver routes through the batched engine
-        with k=1 and matches the dense driver bit for bit."""
-        g = gen.random_graph(20, 45, rng=30)
-        rank = np.random.default_rng(31).permutation(g.n)
-        a, it_a = get_backend("dense").le_lists(g, rank)
-        b, it_b = get_backend("dense-batched").le_lists(g, rank)
-        assert it_a == it_b
-        assert a.equals(b)
+            MBFEngine(name="x", le_lists=lambda *a, **k: None, le_lists_batch=42)
 
     def test_batch_driver_matches_scalar_driver(self):
         g = gen.random_graph(16, 35, rng=32)
         rng = np.random.default_rng(33)
         ranks = np.stack([rng.permutation(g.n) for _ in range(3)])
-        batch = get_backend("dense").le_lists_batch
+        batch = get_engine("dense").le_lists_batch
         lists, iters = batch(g, ranks)
         for s in range(3):
-            expect, it = get_backend("dense").le_lists(g, ranks[s])
+            expect, it = get_engine("dense").le_lists(g, ranks[s])
             assert lists.sample_states(s).equals(expect)
             assert int(iters[s]) == it

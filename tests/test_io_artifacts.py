@@ -305,6 +305,30 @@ def test_pipeline_fingerprint_depends_on_configs_and_seeds_only():
     assert r1.fingerprint != r3.fingerprint
 
 
+def _direct_fingerprint(g):
+    cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
+    return Pipeline(g, cfg).sample_ensemble(k=2, seed=5).fingerprint
+
+
+def test_pipeline_fingerprint_names_the_graph():
+    """Different graphs with equal (n, m) and seeds get different
+    fingerprints (they sample different forests)."""
+    a = gen.random_graph(40, 100, rng=1)
+    b = gen.random_graph(40, 100, rng=2)
+    assert (a.n, a.m) == (b.n, b.m)
+    assert _direct_fingerprint(a) != _direct_fingerprint(b)
+
+
+def test_pipeline_fingerprint_ignores_edge_order():
+    """The same edge set listed in another order, with endpoints swapped,
+    is the same content: equal graphs, equal fingerprints."""
+    a = gen.random_graph(40, 100, rng=1)
+    perm = np.random.default_rng(0).permutation(a.m)
+    b = Graph(a.n, a.edges[perm][:, ::-1], a.weights[perm])
+    assert b == a
+    assert _direct_fingerprint(b) == _direct_fingerprint(a)
+
+
 def test_artifact_meta_carries_provenance(tmp_path):
     result = _result(28, 3)
     path = tmp_path / "r.rpz"

@@ -9,7 +9,14 @@ import pytest
 
 from repro.graph import generators as gen
 from repro.hopsets import hub_hopset, identity_hopset, rounded_hopset
-from repro.mbf.dense import FlatStates, LEFilter, MinFilter, TopKFilter, run_dense
+from repro.mbf.dense import (
+    BatchedLEFilter,
+    FlatStates,
+    LEFilter,
+    MinFilter,
+    TopKFilter,
+    run_dense,
+)
 from repro.oracle import HOracle
 from repro.pram import CostLedger
 from repro.simulated import SimulatedGraph
@@ -87,6 +94,26 @@ class TestOracleMatchesMaterializedH:
         got, _ = oracle.run(spec, x0=FlatStates.from_sources(g.n, S), h=3)
         assert want.to_dicts() == pytest.approx(got.to_dicts())
 
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_batch_of_three_matches(self, seed):
+        """An independent k > 1 reference for the batched oracle (``run``
+        is its k = 1 view): every sample of ``run_batch`` equals the dense
+        engine on the materialized ``H``."""
+        g, hop, H, oracle = make_instance(seed=seed)
+        GH = H.to_graph()
+        rng = np.random.default_rng(seed + 20)
+        ranks = np.stack([rng.permutation(g.n) for _ in range(3)])
+        got, iters = oracle.run_batch(BatchedLEFilter(ranks), 3)
+        assert iters.shape == (3,)
+        for s in range(3):
+            want, _ = run_dense(GH, LEFilter(ranks[s]))
+            assert got.sample_states(s).to_dicts() == pytest.approx(want.to_dicts())
+        got, iters = oracle.run_batch(MinFilter(), 3)
+        want, _ = run_dense(GH, MinFilter())
+        for s in range(3):
+            assert got.sample_states(s).to_matrix() == pytest.approx(want.to_matrix())
+        assert len(set(iters.tolist())) == 1
+
     def test_early_exit_is_lossless(self):
         g, hop, H, _ = make_instance(seed=9)
         rank = np.random.default_rng(4).permutation(g.n)
@@ -96,6 +123,21 @@ class TestOracleMatchesMaterializedH:
         b, _ = o_slow.run(LEFilter(rank))
         assert a.to_dicts() == pytest.approx(b.to_dicts())
         assert sum(o_fast.inner_iterations_used) < sum(o_slow.inner_iterations_used)
+
+
+    @pytest.mark.parametrize("early_exit", [True, False])
+    def test_batched_inner_iterations_match_serial(self, early_exit):
+        """Batched calls record the inner iterations they run: a k=3 batch
+        totals exactly what three single-sample runs do."""
+        g, hop, H, _ = make_instance(seed=9)
+        rng = np.random.default_rng(5)
+        ranks = np.stack([rng.permutation(g.n) for _ in range(3)])
+        serial = HOracle(hop, levels=H.levels, inner_early_exit=early_exit)
+        for r in ranks:
+            serial.run(LEFilter(r))
+        batched = HOracle(hop, levels=H.levels, inner_early_exit=early_exit)
+        batched.run_batch(BatchedLEFilter(ranks), 3)
+        assert sum(batched.inner_iterations_used) == sum(serial.inner_iterations_used)
 
 
 class TestOracleSemantics:
